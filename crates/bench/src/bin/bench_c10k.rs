@@ -2,7 +2,7 @@
 //! `BENCH_c10k.json`.
 //!
 //! Opens ladders of idle connections (default 100 / 1 000 / 5 000)
-//! against an in-process event-backend server and, at each rung,
+//! against an in-process server and, at each rung,
 //! measures:
 //!
 //! * the process thread count (`/proc/self/status` `Threads:`) — the
@@ -27,20 +27,14 @@
 //! Output follows the `customSmallerIsBetter` entry shape
 //! (`{"name", "value", "unit"}`).
 
+use resacc_bench::cluster::env_u64;
 use resacc::resacc::ResAccConfig;
 use resacc::{RwrParams, RwrSession};
-use resacc_service::{spawn, ServerBackend, ServerConfig};
-use std::io::{BufRead, BufReader, Write as _};
+use resacc_service::client::{self, Conn};
+use resacc_service::{spawn, ServerConfig};
 use std::net::TcpStream;
 use std::sync::Arc;
 use std::time::Instant;
-
-fn env_u64(name: &str, default: u64) -> u64 {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
 
 struct Entry {
     name: String,
@@ -61,18 +55,10 @@ fn thread_count() -> u64 {
 }
 
 /// One query round-trip; returns the observed latency in seconds.
-fn timed_query(
-    stream: &mut TcpStream,
-    reader: &mut BufReader<TcpStream>,
-    source: u32,
-    seed: u64,
-) -> f64 {
+fn timed_query(conn: &mut Conn, source: u32, seed: u64) -> f64 {
     let line = format!(r#"{{"id":1,"op":"query","source":{source},"seed":{seed}}}"#);
     let start = Instant::now();
-    stream.write_all(line.as_bytes()).unwrap();
-    stream.write_all(b"\n").unwrap();
-    let mut response = String::new();
-    reader.read_line(&mut response).unwrap();
+    let response = client::exchange_on(conn, &line, None).unwrap();
     assert!(
         response.contains("\"ok\":true"),
         "query failed under idle load: {response}"
@@ -112,53 +98,45 @@ fn main() {
         session,
         ServerConfig {
             workers,
-            backend: ServerBackend::Event,
             max_conns: top + 16,
             idle_timeout_ms: 0, // parked sockets must survive the whole run
             ..ServerConfig::default()
         },
     )
     .expect("server spawns");
-    let addr = handle.addr();
+    let addr = handle.addr().to_string();
 
     let mut entries = Vec::new();
     let mut idle: Vec<TcpStream> = Vec::with_capacity(top);
+    // Sockets that answered a ping, opened through the NDJSON client.
+    let mut pinged: Vec<Conn> = Vec::new();
     let mut rung_stats: Vec<(usize, u64, f64)> = Vec::new(); // (conns, threads, p99)
 
     for &conns in &ladder {
         // Grow the parked-connection pool to this rung. Every socket must
         // be genuinely accepted (the reactor answers its ping), not just
-        // sitting in the listen backlog.
-        while idle.len() < conns {
-            let mut s = TcpStream::connect(addr).expect("connect within ladder");
-            if idle.len().is_multiple_of(500) {
-                let mut r = BufReader::new(s.try_clone().unwrap());
-                s.write_all(b"{\"op\":\"ping\"}\n").unwrap();
-                let mut pong = String::new();
-                r.read_line(&mut pong).unwrap();
-                assert!(pong.contains("\"ok\":true"), "ping under load: {pong}");
+        // sitting in the listen backlog: every 500th socket pings, and the
+        // newest one pings once the full rung is open — the reactor
+        // accepts in order, so its pong vouches for every earlier socket.
+        while idle.len() + pinged.len() < conns {
+            let open = idle.len() + pinged.len();
+            if open.is_multiple_of(500) || open + 1 == conns {
+                let mut conn = client::connect(&addr, None).expect("connect within ladder");
+                let pong = client::exchange_on(&mut conn, r#"{"op":"ping"}"#, None).unwrap();
+                assert!(pong.contains("\"ok\":true"), "rung {conns}: ping under load: {pong}");
+                pinged.push(conn);
+            } else {
+                idle.push(TcpStream::connect(&addr).expect("connect within ladder"));
             }
-            idle.push(s);
-        }
-        // Confirm the newest socket is live at the full rung.
-        {
-            let s = idle.last_mut().unwrap();
-            let mut r = BufReader::new(s.try_clone().unwrap());
-            s.write_all(b"{\"op\":\"ping\"}\n").unwrap();
-            let mut pong = String::new();
-            r.read_line(&mut pong).unwrap();
-            assert!(pong.contains("\"ok\":true"), "rung {conns}: {pong}");
         }
 
         let threads = thread_count();
         // Active stream on a fresh connection while `conns` sockets park.
-        let mut stream = TcpStream::connect(addr).unwrap();
-        let mut reader = BufReader::new(stream.try_clone().unwrap());
+        let mut conn = client::connect(&addr, None).unwrap();
         let mut lat: Vec<f64> = (0..queries)
             .map(|i| {
                 timed_query(
-                    &mut stream,
-                    &mut reader,
+                    &mut conn,
                     (i % 64) as u32,
                     1 + i / 64, // revisit seeds: mixes cold and cached paths
                 )
@@ -211,6 +189,7 @@ fn main() {
     });
 
     drop(idle);
+    drop(pinged);
     handle.shutdown().expect("clean drain");
 
     let mut json = String::from("[\n");

@@ -28,6 +28,7 @@
 //! Output follows the `customSmallerIsBetter` entry shape
 //! (`{"name", "value", "unit"}`).
 
+use resacc_bench::cluster::{env_u64, request};
 use resacc::RwrSession;
 use resacc_service::json::Json;
 use resacc_service::loadgen::{self, LoadgenConfig, LoadgenReport};
@@ -40,13 +41,6 @@ const DYNAMIC_DELTA: f64 = 1e-4;
 const WRITE_MIX: f64 = 0.15;
 const DELETE_MIX: f64 = 0.02;
 const PROBE_SEED: u64 = 4242;
-
-fn env_u64(name: &str, default: u64) -> u64 {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
 
 struct Entry {
     name: String,
@@ -77,16 +71,7 @@ impl CacheCounters {
 }
 
 fn fetch_counters(addr: &str) -> CacheCounters {
-    use std::io::{BufRead, BufReader, Write};
-    let mut stream = std::net::TcpStream::connect(addr).expect("connect for stats");
-    stream
-        .write_all(b"{\"id\":999999,\"op\":\"stats\"}\n")
-        .expect("send stats");
-    let mut line = String::new();
-    BufReader::new(&stream)
-        .read_line(&mut line)
-        .expect("read stats");
-    let response = Json::parse(line.trim()).expect("stats parse");
+    let response = request(addr, r#"{"id":999999,"op":"stats"}"#);
     let stats = response.get("stats").expect("stats object");
     let field = |k: &str| stats.get(k).and_then(Json::as_u64).unwrap_or(0);
     CacheCounters {

@@ -46,6 +46,7 @@
 //! Output follows the `customSmallerIsBetter` entry shape
 //! (`{"name", "value", "unit"}`).
 
+use resacc_bench::cluster::{assert_bit_identical, env_u64, wait_for_version};
 use resacc::durability::{epoch, open_dir, DurabilityOptions, DurabilityError, MutationOp};
 use resacc::replication::{
     attach_hub, fence_probe, FenceEvent, FenceHook, NetFault, NetFaultPlan, ReplicaClient,
@@ -57,14 +58,7 @@ use std::net::TcpListener;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
-
-fn env_u64(name: &str, default: u64) -> u64 {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
+use std::time::Instant;
 
 struct Entry {
     name: String,
@@ -72,8 +66,6 @@ struct Entry {
     unit: &'static str,
 }
 
-const PROBE_SOURCE: u32 = 3;
-const PROBE_SEED: u64 = 77;
 const FENCE_WRITE_ATTEMPTS: u64 = 25;
 const CHAOS_PLAN: &str = "drop=97,delay=131:5,dup=61,trunc=191,seed=7";
 
@@ -110,34 +102,6 @@ fn fresh_dir(tag: &str) -> PathBuf {
 
 fn seed_graph(nodes: u64) -> resacc_graph::CsrGraph {
     resacc_graph::gen::barabasi_albert(nodes as usize, 3, 7)
-}
-
-fn wait_for_version(session: &RwrSession, version: u64, max_secs: u64, what: &str) -> Duration {
-    let start = Instant::now();
-    let deadline = start + Duration::from_secs(max_secs);
-    while session.version() < version {
-        assert!(
-            Instant::now() < deadline,
-            "{what}: node stuck at version {} waiting for {version} (gate: ≤ {max_secs} s)",
-            session.version()
-        );
-        std::thread::sleep(Duration::from_micros(200));
-    }
-    start.elapsed()
-}
-
-fn bits(session: &RwrSession) -> Vec<u64> {
-    session
-        .query(PROBE_SOURCE, PROBE_SEED)
-        .scores
-        .iter()
-        .map(|s| s.to_bits())
-        .collect()
-}
-
-fn assert_bit_identical(a: &RwrSession, b: &RwrSession, what: &str) {
-    assert_eq!(a.version(), b.version(), "{what}: version skew");
-    assert_eq!(bits(a), bits(b), "{what}: scores diverged — not bit-exact");
 }
 
 fn main() {

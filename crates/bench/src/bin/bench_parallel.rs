@@ -28,17 +28,11 @@
 //! (`{"name", "value", "unit"}`); the speedup ratio and gate marker are
 //! informational entries.
 
+use resacc_bench::cluster::env_u64;
 use resacc::resacc::{ResAcc, ResAccConfig};
 use resacc::RwrParams;
 use resacc_bench::datasets::{build, Scale};
 use std::time::Duration;
-
-fn env_u64(name: &str, default: u64) -> u64 {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
 
 fn env_f64(name: &str, default: f64) -> f64 {
     std::env::var(name)

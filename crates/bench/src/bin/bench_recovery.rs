@@ -28,21 +28,15 @@
 //! Output follows the `customSmallerIsBetter` entry shape
 //! (`{"name", "value", "unit"}`).
 
+use resacc_bench::cluster::{apply_nth, env_u64, PROBE_SEED, PROBE_SOURCE};
 use resacc::durability::{open_dir, DurabilityOptions, RecoveryStats};
 use resacc::resacc::ResAccConfig;
 use resacc::{RwrParams, RwrSession};
 use resacc_service::loadgen::{self, LoadgenConfig};
-use resacc_service::{spawn, ServerBackend, ServerConfig};
+use resacc_service::{spawn, ServerConfig};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-
-fn env_u64(name: &str, default: u64) -> u64 {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
 
 struct Entry {
     name: String,
@@ -50,28 +44,6 @@ struct Entry {
     unit: &'static str,
 }
 
-const PROBE_SOURCE: u32 = 3;
-const PROBE_SEED: u64 = 77;
-
-/// Applies mutation `i` of a deterministic history: edge-insert batches
-/// with periodic edge deletions and node deletions (every deleted node is
-/// later resurrected by an insert, exercising the §11 contract).
-fn apply_nth(session: &RwrSession, i: u64, n: u64) {
-    let a = (i * 911 + 17) % n;
-    let b = (i * 613 + 31) % n;
-    let c = (i * 389 + 7) % n;
-    if i % 50 == 49 {
-        session.delete_node(a as u32);
-    } else if i % 17 == 16 {
-        session.delete_edges(&[(a as u32, b as u32)]);
-    } else {
-        session.insert_edges(&[
-            (a as u32, b as u32),
-            (b as u32, c as u32),
-            (c as u32, (a + 1) as u32 % n as u32),
-        ]);
-    }
-}
 
 fn fresh_dir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("resacc-bench-recovery-{tag}-{}", std::process::id()));
@@ -123,7 +95,7 @@ fn timed_recovery(
     (stats, elapsed)
 }
 
-/// One `loadgen --write-mix 0.5` run against a durable event-backend
+/// One `loadgen --write-mix 0.5` run against a durable
 /// server with the given group-commit policy. Returns (end-to-end write
 /// throughput in writes/s, choke-point write throughput in writes/s,
 /// acked writes, fsynced batches). The choke-point figure is writes per
@@ -164,7 +136,6 @@ fn write_mix_run(
         session.clone(),
         ServerConfig {
             workers: 16,
-            backend: ServerBackend::Event,
             max_conns: connections + 8,
             ..ServerConfig::default()
         },
@@ -286,7 +257,7 @@ fn main() {
     );
 
     // Scenario 4: group commit vs per-mutation fsync under a live
-    // `loadgen --write-mix 0.5` against the event-backend server. A tiny
+    // `loadgen --write-mix 0.5` against the server. A tiny
     // graph keeps query cost negligible so the disk barrier dominates —
     // the quantity under test is the fsync schedule, not the engine.
     let gc_nodes = env_u64("RESACC_BENCH_RECOVERY_GC_NODES", 128);

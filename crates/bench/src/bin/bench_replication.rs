@@ -32,6 +32,7 @@
 //! Output follows the `customSmallerIsBetter` entry shape
 //! (`{"name", "value", "unit"}`).
 
+use resacc_bench::cluster::{apply_nth, assert_bit_identical, env_u64, wait_for_version};
 use resacc::durability::{open_dir, DurabilityOptions};
 use resacc::replication::{attach_hub, ReplicaClient, ReplicationHub, ReplicationServer, ReplicationStats};
 use resacc::resacc::ResAccConfig;
@@ -42,40 +43,12 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-fn env_u64(name: &str, default: u64) -> u64 {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
-
 struct Entry {
     name: String,
     value: f64,
     unit: &'static str,
 }
 
-const PROBE_SOURCE: u32 = 3;
-const PROBE_SEED: u64 = 77;
-
-/// Same deterministic mutation mix as `bench_recovery`: edge-insert
-/// batches with periodic edge and node deletions.
-fn apply_nth(session: &RwrSession, i: u64, n: u64) {
-    let a = (i * 911 + 17) % n;
-    let b = (i * 613 + 31) % n;
-    let c = (i * 389 + 7) % n;
-    if i % 50 == 49 {
-        session.delete_node(a as u32);
-    } else if i % 17 == 16 {
-        session.delete_edges(&[(a as u32, b as u32)]);
-    } else {
-        session.insert_edges(&[
-            (a as u32, b as u32),
-            (b as u32, c as u32),
-            (c as u32, (a + 1) as u32 % n as u32),
-        ]);
-    }
-}
 
 fn fresh_dir(tag: &str) -> PathBuf {
     let dir =
@@ -110,36 +83,6 @@ fn wire_primary(
     let server = ReplicationServer::spawn(listener, session.clone(), hub, stats.clone())
         .expect("replication server spawns");
     (session, server, stats)
-}
-
-fn wait_for_version(replica: &RwrSession, version: u64, max_secs: u64, what: &str) -> Duration {
-    let start = Instant::now();
-    let deadline = start + Duration::from_secs(max_secs);
-    while replica.version() < version {
-        assert!(
-            Instant::now() < deadline,
-            "{what}: replica stuck at version {} waiting for {version} (gate: ≤ {max_secs} s)",
-            replica.version()
-        );
-        std::thread::sleep(Duration::from_micros(200));
-    }
-    start.elapsed()
-}
-
-/// The hard gate: a replica at the primary's version answers the probe
-/// bit-for-bit identically.
-fn assert_bit_identical(primary: &RwrSession, replica: &RwrSession, what: &str) {
-    assert_eq!(primary.version(), replica.version(), "{what}: version skew");
-    let p = primary.query(PROBE_SOURCE, PROBE_SEED).scores;
-    let r = replica.query(PROBE_SOURCE, PROBE_SEED).scores;
-    assert_eq!(p.len(), r.len(), "{what}: graph size diverged");
-    for (i, (a, b)) in p.iter().zip(&r).enumerate() {
-        assert_eq!(
-            a.to_bits(),
-            b.to_bits(),
-            "{what}: scores[{i}] diverged — replication is not bit-exact"
-        );
-    }
 }
 
 fn main() {

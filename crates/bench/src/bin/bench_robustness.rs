@@ -26,6 +26,7 @@
 //! (`{"name", "value", "unit"}`); rate and count entries are
 //! informational, the drain latency is a genuine smaller-is-better metric.
 
+use resacc_bench::cluster::{env_u64, request};
 use resacc::RwrSession;
 use resacc_bench::datasets::{build, Scale};
 use resacc_service::loadgen::{self, LoadgenConfig};
@@ -38,25 +39,10 @@ use std::time::Instant;
 /// Reads the server's `panics` counter over the wire (`stats` op).
 fn fetch_panics(addr: std::net::SocketAddr) -> u64 {
     use resacc_service::json::Json;
-    use std::io::{BufRead, BufReader, Write};
-    let fetch = || -> std::io::Result<u64> {
-        let mut stream = std::net::TcpStream::connect(addr)?;
-        stream.write_all(b"{\"op\":\"stats\"}\n")?;
-        let mut line = String::new();
-        BufReader::new(&stream).read_line(&mut line)?;
-        Json::parse(line.trim())
-            .ok()
-            .and_then(|j| j.get("stats").and_then(|s| s.get("panics").and_then(Json::as_u64)))
-            .ok_or_else(|| std::io::Error::other("no panics field in stats"))
-    };
-    fetch().expect("fetch server stats")
-}
-
-fn env_u64(name: &str, default: u64) -> u64 {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
+    request(&addr.to_string(), r#"{"op":"stats"}"#)
+        .get("stats")
+        .and_then(|s| s.get("panics").and_then(Json::as_u64))
+        .expect("no panics field in stats")
 }
 
 struct Entry {

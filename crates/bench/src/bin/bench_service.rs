@@ -24,19 +24,13 @@
 //! (`{"name", "value", "unit"}`) used by continuous-benchmark dashboards;
 //! throughput and ratio entries carry non-time units and are informational.
 
+use resacc_bench::cluster::env_u64;
 use resacc::RwrSession;
 use resacc_bench::datasets::{build, Scale};
 use resacc_service::loadgen::{self, LoadgenConfig};
 use resacc_service::scheduler::{QueryRequest, Scheduler, SchedulerConfig};
 use resacc_service::server::{spawn, ServerConfig, ServerHandle};
 use std::sync::Arc;
-
-fn env_u64(name: &str, default: u64) -> u64 {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
 
 struct Entry {
     name: String,

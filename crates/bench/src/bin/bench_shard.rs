@@ -39,140 +39,16 @@
 //! (`{"name", "value", "unit"}`); the zero-valued gate entries record
 //! that the run would have aborted otherwise.
 
+use resacc_bench::cluster::{env_u64, request, rwr_bin, spawn_serve, wait_routed};
 use resacc_service::json::Json;
 use resacc_service::loadgen::{self, LoadgenConfig, LoadgenReport};
 use resacc_service::router::{spawn as spawn_router, RouterConfig, RouterHandle, ShardSpec};
-use std::io::{BufRead, BufReader, Write};
-use std::net::TcpStream;
-use std::path::{Path, PathBuf};
-use std::process::{Child, Command, Stdio};
-use std::sync::mpsc;
 use std::time::{Duration, Instant};
-
-fn env_u64(name: &str, default: u64) -> u64 {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
 
 struct Entry {
     name: String,
     value: f64,
     unit: &'static str,
-}
-
-/// The compiled `rwr` CLI, sitting next to this bench in the target dir.
-fn rwr_bin() -> PathBuf {
-    if let Ok(p) = std::env::var("RESACC_RWR_BIN") {
-        return PathBuf::from(p);
-    }
-    let exe = std::env::current_exe().expect("current_exe");
-    let cand = exe
-        .parent()
-        .expect("bench binary has a parent dir")
-        .join(format!("rwr{}", std::env::consts::EXE_SUFFIX));
-    assert!(
-        cand.exists(),
-        "rwr binary not found at {} — build it first (`cargo build --release -p resacc-cli`) \
-         or point RESACC_RWR_BIN at it",
-        cand.display()
-    );
-    cand
-}
-
-/// A running `rwr serve` child with its listener addresses scraped.
-struct Proc {
-    child: Child,
-    addr: String,
-    repl_addr: Option<String>,
-}
-
-impl Proc {
-    fn kill(&mut self) {
-        self.child.kill().ok();
-        self.child.wait().ok();
-    }
-}
-
-impl Drop for Proc {
-    fn drop(&mut self) {
-        self.kill();
-    }
-}
-
-fn spawn_serve(graph: &Path, data_dir: &Path, extra: &[&str]) -> Proc {
-    let mut cmd = Command::new(rwr_bin());
-    cmd.args(["serve", "--graph"])
-        .arg(graph)
-        .args(["--listen", "127.0.0.1:0", "--data-dir"])
-        .arg(data_dir)
-        .args(extra)
-        .stdout(Stdio::piped());
-    let mut child = cmd.spawn().expect("spawn rwr serve");
-    let mut out = BufReader::new(child.stdout.take().unwrap());
-    let (tx, rx) = mpsc::channel();
-    std::thread::spawn(move || loop {
-        let mut line = String::new();
-        match out.read_line(&mut line) {
-            Ok(0) | Err(_) => break,
-            Ok(_) => {
-                if tx.send(line.trim().to_string()).is_err() {
-                    break;
-                }
-            }
-        }
-    });
-    let mut repl_addr = None;
-    let addr = loop {
-        let line = rx
-            .recv_timeout(Duration::from_secs(60))
-            .expect("rwr serve prints `listening on`");
-        if let Some(rest) = line.strip_prefix("replication listening on ") {
-            repl_addr = Some(rest.to_string());
-        } else if let Some(rest) = line.strip_prefix("listening on ") {
-            break rest.to_string();
-        }
-    };
-    Proc {
-        child,
-        addr,
-        repl_addr,
-    }
-}
-
-/// One-shot NDJSON request on a fresh connection.
-fn request(addr: &str, line: &str) -> Json {
-    let mut stream = TcpStream::connect(addr).expect("connect");
-    stream
-        .set_read_timeout(Some(Duration::from_secs(30)))
-        .unwrap();
-    stream.write_all(line.as_bytes()).unwrap();
-    stream.write_all(b"\n").unwrap();
-    let mut response = String::new();
-    BufReader::new(&stream).read_line(&mut response).unwrap();
-    Json::parse(response.trim()).expect("backend speaks json")
-}
-
-/// Requests the router has routed so far (reads + mutations) — the
-/// progress signal that triggers kills at deterministic workload points.
-fn routed_so_far(router_addr: &str) -> u64 {
-    let stats = request(router_addr, r#"{"op":"stats"}"#);
-    let rt = stats.get("router");
-    let get = |k: &str| rt.and_then(|r| r.get(k)).and_then(Json::as_u64).unwrap_or(0);
-    get("reads") + get("mutations")
-}
-
-/// Blocks until the router has routed at least `n` requests.
-fn wait_routed(router_addr: &str, n: u64) {
-    let deadline = Instant::now() + Duration::from_secs(120);
-    while routed_so_far(router_addr) < n {
-        assert!(
-            Instant::now() < deadline,
-            "loadgen never reached {n} routed requests"
-        );
-        std::thread::sleep(Duration::from_millis(10));
-    }
 }
 
 fn shard_router(shards: Vec<ShardSpec>, tweak: impl FnOnce(&mut RouterConfig)) -> RouterHandle {

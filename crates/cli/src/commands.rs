@@ -22,43 +22,14 @@ fn load_graph(cli: &Cli) -> Result<CsrGraph, String> {
     Ok(graph)
 }
 
-/// Opens an NDJSON client connection honoring `--timeout-ms` for both the
-/// connect and subsequent reads (0 = wait forever).
-fn connect_client(addr: &str, timeout_ms: u64) -> Result<std::net::TcpStream, String> {
-    use std::net::{TcpStream, ToSocketAddrs};
-    let stream = if timeout_ms == 0 {
-        TcpStream::connect(addr).map_err(|e| format!("connecting to {addr}: {e}"))?
-    } else {
-        let timeout = std::time::Duration::from_millis(timeout_ms);
-        let sock = addr
-            .to_socket_addrs()
-            .map_err(|e| format!("resolving {addr}: {e}"))?
-            .next()
-            .ok_or_else(|| format!("resolving {addr}: no address"))?;
-        let s = TcpStream::connect_timeout(&sock, timeout)
-            .map_err(|e| format!("connecting to {addr}: {e}"))?;
-        s.set_read_timeout(Some(timeout)).map_err(|e| e.to_string())?;
-        s
-    };
-    Ok(stream)
-}
-
-/// One request line → one response line against a live server.
+/// One request line → one response line against a live server, honoring
+/// `--timeout-ms` for both the connect and the read (0 = wait forever).
 fn client_exchange(cli: &Cli, request: &str) -> Result<resacc_service::json::Json, String> {
     use resacc_service::json::Json;
-    use std::io::{BufRead, BufReader, Write};
-    let mut stream = connect_client(&cli.addr, cli.timeout_ms)?;
-    stream
-        .write_all(request.as_bytes())
-        .map_err(|e| format!("sending to {}: {e}", cli.addr))?;
-    let mut line = String::new();
-    BufReader::new(&stream)
-        .read_line(&mut line)
-        .map_err(|e| format!("reading from {}: {e}", cli.addr))?;
-    if line.is_empty() {
-        return Err(format!("{} closed the connection", cli.addr));
-    }
-    Json::parse(line.trim()).map_err(|e| format!("bad response from {}: {e}", cli.addr))
+    let timeout = (cli.timeout_ms > 0).then(|| std::time::Duration::from_millis(cli.timeout_ms));
+    let line = resacc_service::client::request(&cli.addr, request, timeout)
+        .map_err(|e| format!("{}: {e}", cli.addr))?;
+    Json::parse(&line).map_err(|e| format!("bad response from {}: {e}", cli.addr))
 }
 
 fn params_for(cli: &Cli, graph: &CsrGraph) -> RwrParams {
@@ -169,7 +140,7 @@ fn remote_query(cli: &Cli) -> Result<(), String> {
         None => String::new(),
     };
     let request = format!(
-        "{{\"id\":1,\"op\":\"query\",\"source\":{},\"seed\":{},\"k\":{}{ns_field}}}\n",
+        "{{\"id\":1,\"op\":\"query\",\"source\":{},\"seed\":{},\"k\":{}{ns_field}}}",
         cli.source, cli.seed, cli.top
     );
     let response = client_exchange(cli, &request)?;
@@ -207,8 +178,8 @@ fn remote_query(cli: &Cli) -> Result<(), String> {
 fn remote_stats(cli: &Cli) -> Result<(), String> {
     use resacc_service::json::Json;
     let request = match checked_namespace(cli)? {
-        Some(ns) => format!("{{\"id\":1,\"op\":\"stats\",\"namespace\":\"{ns}\"}}\n"),
-        None => "{\"id\":1,\"op\":\"stats\"}\n".to_string(),
+        Some(ns) => format!("{{\"id\":1,\"op\":\"stats\",\"namespace\":\"{ns}\"}}"),
+        None => "{\"id\":1,\"op\":\"stats\"}".to_string(),
     };
     let response = client_exchange(cli, &request)?;
     if response.get("ok").and_then(Json::as_bool) != Some(true) {
@@ -382,11 +353,6 @@ pub fn serve(cli: &Cli) -> Result<(), String> {
         replication: None,
         dynamic_eps: cli.dynamic_eps,
         dynamic_delta: cli.dynamic_delta,
-        backend: if cli.backend == "threaded" {
-            resacc_service::ServerBackend::Threaded
-        } else {
-            resacc_service::ServerBackend::Event
-        },
         ..resacc_service::ServerConfig::default()
     };
     // The tenant registry: the default tenant plus every manifest entry,
@@ -675,8 +641,8 @@ fn sync_tenant_set(
 pub fn promote(cli: &Cli) -> Result<(), String> {
     use resacc_service::json::Json;
     let request = match cli.fence.as_deref() {
-        Some(target) => format!("{{\"id\":1,\"op\":\"promote\",\"fence\":\"{target}\"}}\n"),
-        None => "{\"id\":1,\"op\":\"promote\"}\n".to_string(),
+        Some(target) => format!("{{\"id\":1,\"op\":\"promote\",\"fence\":\"{target}\"}}"),
+        None => "{\"id\":1,\"op\":\"promote\"}".to_string(),
     };
     let response = client_exchange(cli, &request)?;
     if response.get("ok").and_then(Json::as_bool) == Some(true) {
@@ -910,7 +876,6 @@ mod tests {
             delete_mix: 0.0,
             dynamic_eps: 0.0,
             dynamic_delta: 1e-4,
-            backend: "event".into(),
             group_commit_window: None,
             timeout_ms: 0,
             via_router: false,
@@ -933,46 +898,64 @@ mod tests {
         }
     }
 
-    fn temp_edge_list() -> std::path::PathBuf {
-        let dir = std::env::temp_dir().join("resacc-cli-test");
+    /// A small edge list in a directory of its own, unique per call (pid
+    /// and counter) so concurrently running tests never share a file, and
+    /// removed on drop.
+    struct TempGraph {
+        dir: std::path::PathBuf,
+        path: std::path::PathBuf,
+    }
+
+    impl TempGraph {
+        fn path_str(&self) -> String {
+            self.path.to_string_lossy().to_string()
+        }
+    }
+
+    impl Drop for TempGraph {
+        fn drop(&mut self) {
+            std::fs::remove_dir_all(&self.dir).ok();
+        }
+    }
+
+    fn temp_edge_list() -> TempGraph {
+        static NEXT: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
+        let n = NEXT.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        let dir = std::env::temp_dir().join(format!("resacc-cli-test-{}-{n}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join(format!("g-{}.txt", std::process::id()));
+        let path = dir.join("g.txt");
         let g = resacc_graph::gen::cycle(6);
         resacc_graph::edgelist::save_edge_list(&g, &path).unwrap();
-        path
+        TempGraph { dir, path }
     }
 
     #[test]
     fn query_pair_stats_run_end_to_end() {
-        let path = temp_edge_list();
-        let p = path.to_string_lossy().to_string();
+        let graph = temp_edge_list();
+        let p = graph.path_str();
         assert!(query(&cli_for(&p, Command::Query)).is_ok());
         assert!(pair(&cli_for(&p, Command::Pair)).is_ok());
         assert!(stats(&cli_for(&p, Command::Stats)).is_ok());
-        std::fs::remove_file(path).ok();
     }
 
     #[test]
     fn convert_roundtrip() {
-        let path = temp_edge_list();
-        let out = path.with_extension("racg");
-        let mut cli = cli_for(&path.to_string_lossy(), Command::Convert);
+        let graph = temp_edge_list();
+        let out = graph.path.with_extension("racg");
+        let mut cli = cli_for(&graph.path_str(), Command::Convert);
         cli.out = Some(out.to_string_lossy().to_string());
         convert(&cli).unwrap();
         // Query the binary file directly.
         let cli2 = cli_for(&out.to_string_lossy(), Command::Query);
         assert!(query(&cli2).is_ok());
-        std::fs::remove_file(path).ok();
-        std::fs::remove_file(out).ok();
     }
 
     #[test]
     fn out_of_range_source_rejected() {
-        let path = temp_edge_list();
-        let mut cli = cli_for(&path.to_string_lossy(), Command::Query);
+        let graph = temp_edge_list();
+        let mut cli = cli_for(&graph.path_str(), Command::Query);
         cli.source = 999;
         assert!(query(&cli).is_err());
-        std::fs::remove_file(path).ok();
     }
 
     #[test]
@@ -983,15 +966,14 @@ mod tests {
 
     #[test]
     fn every_algo_flag_works() {
-        let path = temp_edge_list();
+        let graph = temp_edge_list();
         for algo in ["resacc", "fora", "mc", "power", "fwd"] {
             for threads in [0, 4] {
-                let mut cli = cli_for(&path.to_string_lossy(), Command::Query);
+                let mut cli = cli_for(&graph.path_str(), Command::Query);
                 cli.algo = algo.into();
                 cli.threads = threads;
                 assert!(query(&cli).is_ok(), "algo {algo} threads {threads}");
             }
         }
-        std::fs::remove_file(path).ok();
     }
 }

@@ -1,24 +1,23 @@
 //! End-to-end tests driving the compiled `rwr` binary over real files.
 
+mod common;
+
+use common::{connect, request, roundtrip, rwr, spawn_scraped, temp_dir, TempDir};
 use std::path::PathBuf;
-use std::process::Command;
 
-fn rwr() -> Command {
-    Command::new(env!("CARGO_BIN_EXE_rwr"))
-}
-
-fn temp_graph() -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("rwr-e2e-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
+/// The shared 500-node test graph in a directory of its own; the file
+/// lives as long as the returned directory.
+fn temp_graph() -> (TempDir, PathBuf) {
+    let dir = temp_dir("e2e");
     let path = dir.join("g.txt");
     let g = resacc_graph::gen::barabasi_albert(500, 4, 33);
     resacc_graph::edgelist::save_edge_list(&g, &path).unwrap();
-    path
+    (dir, path)
 }
 
 #[test]
 fn query_prints_topk_with_source_first() {
-    let graph = temp_graph();
+    let (_dir, graph) = temp_graph();
     let out = rwr()
         .args(["query", "--graph"])
         .arg(&graph)
@@ -35,7 +34,7 @@ fn query_prints_topk_with_source_first() {
 
 #[test]
 fn query_is_deterministic_per_seed() {
-    let graph = temp_graph();
+    let (_dir, graph) = temp_graph();
     let run = |seed: &str| {
         let out = rwr()
             .args(["query", "--graph"])
@@ -43,6 +42,7 @@ fn query_is_deterministic_per_seed() {
             .args(["--source", "0", "--seed", seed])
             .output()
             .unwrap();
+        assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
         // Strip the timing header line (wall clock varies).
         String::from_utf8(out.stdout)
             .unwrap()
@@ -57,7 +57,7 @@ fn query_is_deterministic_per_seed() {
 
 #[test]
 fn pair_and_stats_succeed() {
-    let graph = temp_graph();
+    let (_dir, graph) = temp_graph();
     let out = rwr()
         .args(["pair", "--graph"])
         .arg(&graph)
@@ -76,7 +76,7 @@ fn pair_and_stats_succeed() {
 
 #[test]
 fn convert_then_query_binary() {
-    let graph = temp_graph();
+    let (_dir, graph) = temp_graph();
     let racg = graph.with_extension("racg");
     let out = rwr()
         .args(["convert", "--graph"])
@@ -98,12 +98,8 @@ fn convert_then_query_binary() {
 
 #[test]
 fn serve_answers_queries_matching_a_direct_session() {
-    use resacc_service::json::Json;
-    use std::io::{BufRead, BufReader, Write};
-    use std::net::TcpStream;
-    use std::process::Stdio;
 
-    let graph_path = temp_graph();
+    let (_dir, graph_path) = temp_graph();
 
     // The ground truth: the same graph, parameters, and seed, queried
     // directly in-process. The server must reproduce this bit-for-bit.
@@ -118,32 +114,15 @@ fn serve_answers_queries_matching_a_direct_session() {
     let direct = session.query(7, 4242).scores;
     let direct_top = session.top_k(7, 5, 4242);
 
-    let mut child = rwr()
-        .args(["serve", "--graph"])
-        .arg(&graph_path)
-        .args(["--listen", "127.0.0.1:0", "--workers", "3"])
-        .stdout(Stdio::piped())
-        .spawn()
-        .unwrap();
-    let mut child_out = BufReader::new(child.stdout.take().unwrap());
-    let addr = loop {
-        let mut line = String::new();
-        assert_ne!(child_out.read_line(&mut line).unwrap(), 0, "server exited early");
-        if let Some(rest) = line.trim().strip_prefix("listening on ") {
-            break rest.to_string();
-        }
-    };
-
-    let stream = TcpStream::connect(&addr).unwrap();
-    let mut reader = BufReader::new(stream.try_clone().unwrap());
-    let mut stream = stream;
-    let mut roundtrip = |line: &str| -> Json {
-        stream.write_all(line.as_bytes()).unwrap();
-        stream.write_all(b"\n").unwrap();
-        let mut response = String::new();
-        reader.read_line(&mut response).unwrap();
-        Json::parse(response.trim()).expect("server speaks json")
-    };
+    let mut server = spawn_scraped({
+        let mut cmd = rwr();
+        cmd.args(["serve", "--graph"])
+            .arg(&graph_path)
+            .args(["--listen", "127.0.0.1:0", "--workers", "3"]);
+        cmd
+    });
+    let mut conn = connect(&server.addr);
+    let mut roundtrip = |line: &str| roundtrip(&mut conn, line);
 
     let r = roundtrip(r#"{"id":1,"op":"query","source":7,"seed":4242,"k":5,"full":true}"#);
     assert_eq!(r.get("ok").unwrap().as_bool(), Some(true));
@@ -179,36 +158,26 @@ fn serve_answers_queries_matching_a_direct_session() {
 
     let bye = roundtrip(r#"{"op":"shutdown"}"#);
     assert_eq!(bye.get("ok").unwrap().as_bool(), Some(true));
-    drop(stream);
-    let status = child.wait().unwrap();
+    drop(conn);
+    let status = server.child.wait().unwrap();
     assert!(status.success(), "server must exit cleanly on shutdown");
 }
 
 #[test]
 fn loadgen_reports_against_live_server() {
-    use std::io::{BufRead, BufReader};
-    use std::process::Stdio;
-
-    let graph_path = temp_graph();
-    let mut child = rwr()
-        .args(["serve", "--graph"])
-        .arg(&graph_path)
-        .args(["--listen", "127.0.0.1:0"])
-        .stdout(Stdio::piped())
-        .spawn()
-        .unwrap();
-    let mut child_out = BufReader::new(child.stdout.take().unwrap());
-    let addr = loop {
-        let mut line = String::new();
-        assert_ne!(child_out.read_line(&mut line).unwrap(), 0, "server exited early");
-        if let Some(rest) = line.trim().strip_prefix("listening on ") {
-            break rest.to_string();
-        }
-    };
+    let (_dir, graph_path) = temp_graph();
+    let server = spawn_scraped({
+        let mut cmd = rwr();
+        cmd.args(["serve", "--graph"])
+            .arg(&graph_path)
+            .args(["--listen", "127.0.0.1:0"]);
+        cmd
+    });
+    let addr = &server.addr;
 
     let out = rwr()
         .args([
-            "loadgen", "--addr", &addr, "--requests", "60", "--connections", "2",
+            "loadgen", "--addr", addr, "--requests", "60", "--connections", "2",
             "--sources", "6", "--zipf", "1.2",
         ])
         .output()
@@ -218,9 +187,6 @@ fn loadgen_reports_against_live_server() {
     assert!(stdout.contains("completed"), "{stdout}");
     assert!(stdout.contains("60"), "{stdout}");
     assert!(stdout.contains("hit rate"), "{stdout}");
-
-    child.kill().ok();
-    child.wait().ok();
 }
 
 #[test]
@@ -245,30 +211,16 @@ fn bad_usage_exits_nonzero_with_usage_text() {
 #[test]
 fn serve_threads_replay_is_bitwise_identical_clean_and_under_chaos() {
     use resacc_service::json::Json;
-    use std::io::{BufRead, BufReader, Write};
-    use std::net::TcpStream;
-    use std::process::Stdio;
 
-    let graph_path = temp_graph();
+    let (_dir, graph_path) = temp_graph();
 
-    let spawn_serve = |extra: &[&str]| -> (std::process::Child, String) {
-        let mut child = rwr()
-            .args(["serve", "--graph"])
+    let spawn_serve = |extra: &[&str]| {
+        let mut cmd = rwr();
+        cmd.args(["serve", "--graph"])
             .arg(&graph_path)
             .args(["--listen", "127.0.0.1:0", "--workers", "2"])
-            .args(extra)
-            .stdout(Stdio::piped())
-            .spawn()
-            .unwrap();
-        let mut child_out = BufReader::new(child.stdout.take().unwrap());
-        let addr = loop {
-            let mut line = String::new();
-            assert_ne!(child_out.read_line(&mut line).unwrap(), 0, "server exited early");
-            if let Some(rest) = line.trim().strip_prefix("listening on ") {
-                break rest.to_string();
-            }
-        };
-        (child, addr)
+            .args(extra);
+        spawn_scraped(cmd)
     };
 
     // One fixed id stream, fresh (source, seed) per id so every request
@@ -280,20 +232,15 @@ fn serve_threads_replay_is_bitwise_identical_clean_and_under_chaos() {
     // Replays the stream on one connection; per id, Ok(rendered scores) or
     // Err(typed error code).
     let replay = |addr: &str| -> Vec<(u64, Result<String, String>)> {
-        let stream = TcpStream::connect(addr).unwrap();
-        let mut reader = BufReader::new(stream.try_clone().unwrap());
-        let mut stream = stream;
+        let mut conn = connect(addr);
         ids.iter()
             .map(|&id| {
                 let line = format!(
-                    "{{\"id\":{id},\"op\":\"query\",\"source\":{},\"seed\":{},\"full\":true}}\n",
+                    "{{\"id\":{id},\"op\":\"query\",\"source\":{},\"seed\":{},\"full\":true}}",
                     source_of(id),
                     seed_of(id)
                 );
-                stream.write_all(line.as_bytes()).unwrap();
-                let mut response = String::new();
-                reader.read_line(&mut response).unwrap();
-                let r = Json::parse(response.trim()).expect("server speaks json");
+                let r = roundtrip(&mut conn, &line);
                 assert_eq!(r.get("id").unwrap().as_u64(), Some(id));
                 if r.get("ok").unwrap().as_bool() == Some(true) {
                     (id, Ok(r.get("scores").unwrap().render()))
@@ -303,21 +250,18 @@ fn serve_threads_replay_is_bitwise_identical_clean_and_under_chaos() {
             })
             .collect()
     };
-    let shutdown = |mut child: std::process::Child, addr: &str| {
-        let mut stream = TcpStream::connect(addr).unwrap();
-        stream.write_all(b"{\"op\":\"shutdown\"}\n").unwrap();
-        let mut line = String::new();
-        BufReader::new(&stream).read_line(&mut line).unwrap();
-        assert!(child.wait().unwrap().success());
+    let shutdown = |mut server: common::Proc| {
+        request(&server.addr, r#"{"op":"shutdown"}"#);
+        assert!(server.child.wait().unwrap().success());
     };
 
     // Clean runs at 1 and 4 threads per query.
-    let (child1, addr1) = spawn_serve(&["--threads", "1"]);
-    let serial = replay(&addr1);
-    shutdown(child1, &addr1);
-    let (child4, addr4) = spawn_serve(&["--threads", "4"]);
-    let parallel = replay(&addr4);
-    shutdown(child4, &addr4);
+    let server1 = spawn_serve(&["--threads", "1"]);
+    let serial = replay(&server1.addr);
+    shutdown(server1);
+    let server4 = spawn_serve(&["--threads", "4"]);
+    let parallel = replay(&server4.addr);
+    shutdown(server4);
     assert_eq!(serial, parallel, "threads must never change served bytes");
 
     // Direct in-process session: the served scores must be bit-identical.
@@ -348,10 +292,10 @@ fn serve_threads_replay_is_bitwise_identical_clean_and_under_chaos() {
     // Chaos run at 4 threads: the fault plan keys on request id (expiry
     // checked before panic), so exactly ids {7,14,21} time out, {10,20}
     // panic, and every other id must still serve the identical bytes.
-    let (chaos_child, chaos_addr) =
+    let chaos_server =
         spawn_serve(&["--threads", "4", "--chaos", "panic=10,delay=16:2,expire=7,seed=42"]);
-    let chaotic = replay(&chaos_addr);
-    shutdown(chaos_child, &chaos_addr);
+    let chaotic = replay(&chaos_server.addr);
+    shutdown(chaos_server);
     for ((id, clean), (cid, chaotic)) in serial.iter().zip(&chaotic) {
         assert_eq!(id, cid);
         match (id % 7 == 0, id % 10 == 0) {

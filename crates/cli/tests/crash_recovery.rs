@@ -24,31 +24,14 @@
 //! through the real binary; multi-record batch assembly, rollback, and
 //! torn-tail recovery are covered by the `resacc` WAL unit tests.
 
+mod common;
+
+use common::{connect, graph_file, roundtrip, serve_cmd, spawn_scraped, temp_dir, Proc};
 use resacc_service::json::Json;
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
-use std::path::{Path, PathBuf};
-use std::process::{Child, Command, Stdio};
-use std::sync::mpsc;
+use std::path::Path;
 use std::time::{Duration, Instant};
-
-fn rwr() -> Command {
-    Command::new(env!("CARGO_BIN_EXE_rwr"))
-}
-
-fn temp_dir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("rwr-crash-{tag}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
-    dir
-}
-
-fn graph_file(dir: &Path) -> PathBuf {
-    let path = dir.join("g.txt");
-    let g = resacc_graph::gen::barabasi_albert(300, 3, 7);
-    resacc_graph::edgelist::save_edge_list(&g, &path).unwrap();
-    path
-}
 
 /// The fixed mutation history every test drives, as NDJSON requests.
 fn mutation_lines() -> Vec<String> {
@@ -90,83 +73,33 @@ fn ground_truth(graph_path: &Path, mutations: u64, source: u32, seed: u64) -> Ve
     session.query(source, seed).scores
 }
 
-/// A running server child whose stdout is pumped into a channel so the
-/// harness can watch for the `CRASH_POINT` marker while blocked on a
-/// socket that will never answer.
-struct Server {
-    child: Child,
-    stdout: mpsc::Receiver<String>,
-    addr: String,
-    banner: Vec<String>,
-}
-
+/// `rwr serve` with `RESACC_CRASH_POINT` armed when `crash_spec` is set.
+/// The child's stdout stays pumped into [`Proc::stdout`] so the harness
+/// can watch for the `CRASH_POINT` marker while blocked on a socket that
+/// will never answer.
 fn spawn_serve(
     graph: &Path,
     data_dir: &Path,
     snapshot_every: &str,
     crash_spec: Option<&str>,
     extra_args: &[&str],
-) -> Server {
-    let mut cmd = rwr();
-    cmd.args(["serve", "--graph"])
-        .arg(graph)
-        .args(["--listen", "127.0.0.1:0", "--data-dir"])
-        .arg(data_dir)
-        .args(["--snapshot-every", snapshot_every])
-        .args(extra_args);
+) -> Proc {
+    let mut cmd = serve_cmd(
+        graph,
+        data_dir,
+        &[&["--snapshot-every", snapshot_every], extra_args].concat(),
+    );
     if let Some(spec) = crash_spec {
         cmd.env("RESACC_CRASH_POINT", spec);
     }
-    let mut child = cmd.stdout(Stdio::piped()).spawn().unwrap();
-    let mut out = BufReader::new(child.stdout.take().unwrap());
-    let (tx, rx) = mpsc::channel();
-    std::thread::spawn(move || loop {
-        let mut line = String::new();
-        match out.read_line(&mut line) {
-            Ok(0) | Err(_) => break,
-            Ok(_) => {
-                if tx.send(line.trim().to_string()).is_err() {
-                    break;
-                }
-            }
-        }
-    });
-    let mut banner = Vec::new();
-    let addr = loop {
-        let line = rx
-            .recv_timeout(Duration::from_secs(60))
-            .expect("server prints `listening on`");
-        match line.strip_prefix("listening on ") {
-            Some(rest) => break rest.to_string(),
-            None => banner.push(line),
-        }
-    };
-    Server {
-        child,
-        stdout: rx,
-        addr,
-        banner,
-    }
-}
-
-fn connect(addr: &str) -> (TcpStream, BufReader<TcpStream>) {
-    let stream = TcpStream::connect(addr).unwrap();
-    let reader = BufReader::new(stream.try_clone().unwrap());
-    (stream, reader)
-}
-
-fn roundtrip(stream: &mut TcpStream, reader: &mut BufReader<TcpStream>, line: &str) -> Json {
-    stream.write_all(line.as_bytes()).unwrap();
-    stream.write_all(b"\n").unwrap();
-    let mut response = String::new();
-    reader.read_line(&mut response).unwrap();
-    Json::parse(response.trim()).expect("server speaks json")
+    spawn_scraped(cmd)
 }
 
 /// Streams the mutation history at the armed server until the crash point
 /// fires; returns how many mutations were *acknowledged* before the crash.
-fn mutate_until_crash(server: &Server, point: &str) -> u64 {
-    let (stream, mut reader) = connect(&server.addr);
+fn mutate_until_crash(server: &Proc, point: &str) -> u64 {
+    let stream = TcpStream::connect(&server.addr).unwrap();
+    let mut reader = BufReader::new(stream.try_clone().unwrap());
     stream
         .set_read_timeout(Some(Duration::from_millis(100)))
         .unwrap();
@@ -240,7 +173,7 @@ fn crash_and_recover_with(
     extra_args: &[&str],
 ) {
     let dir = temp_dir(tag);
-    let graph = graph_file(&dir);
+    let graph = graph_file(&dir, 300);
     let data = dir.join("data");
     let point = crash_spec.split(':').next().unwrap();
 
@@ -259,8 +192,8 @@ fn crash_and_recover_with(
         "missing recovery banner: {:?}",
         server.banner
     );
-    let (mut stream, mut reader) = connect(&server.addr);
-    let s = roundtrip(&mut stream, &mut reader, r#"{"op":"stats"}"#);
+    let mut conn = connect(&server.addr);
+    let s = roundtrip(&mut conn, r#"{"op":"stats"}"#);
     assert_eq!(
         s.get("version").unwrap().as_u64(),
         Some(expected_survivors),
@@ -295,8 +228,7 @@ fn crash_and_recover_with(
     // The recovered graph answers bit-identically to a never-crashed
     // in-process replay of the surviving history prefix.
     let r = roundtrip(
-        &mut stream,
-        &mut reader,
+        &mut conn,
         r#"{"id":9,"op":"query","source":3,"seed":77,"full":true}"#,
     );
     assert_eq!(r.get("ok").unwrap().as_bool(), Some(true), "{r:?}");
@@ -314,11 +246,10 @@ fn crash_and_recover_with(
         assert_eq!(s.to_bits(), t.to_bits(), "node {i}: served != ground truth");
     }
 
-    let bye = roundtrip(&mut stream, &mut reader, r#"{"op":"shutdown"}"#);
+    let bye = roundtrip(&mut conn, r#"{"op":"shutdown"}"#);
     assert_eq!(bye.get("ok").unwrap().as_bool(), Some(true));
-    drop(stream);
+    drop(conn);
     assert!(server.child.wait().unwrap().success());
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 /// Crash with half of record 3 on disk: mutations 1–2 survive, the torn

@@ -12,107 +12,11 @@
 //! * after a full-cluster SIGKILL, restarting from the surviving data
 //!   dirs restores every namespace bit-identically.
 
+mod common;
+
+use common::{graph_file, request, rwr, spawn_scraped, spawn_serve, temp_dir};
 use resacc_service::json::Json;
-use std::io::{BufRead, BufReader, Write};
-use std::net::TcpStream;
-use std::path::{Path, PathBuf};
-use std::process::{Child, Command, Stdio};
-use std::sync::mpsc;
 use std::time::{Duration, Instant};
-
-fn rwr() -> Command {
-    Command::new(env!("CARGO_BIN_EXE_rwr"))
-}
-
-fn temp_dir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("rwr-shard-{tag}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
-    dir
-}
-
-fn graph_file(dir: &Path) -> PathBuf {
-    let path = dir.join("g.txt");
-    let g = resacc_graph::gen::barabasi_albert(200, 3, 7);
-    resacc_graph::edgelist::save_edge_list(&g, &path).unwrap();
-    path
-}
-
-/// A running `rwr` child (serve or router) with its startup lines scraped.
-struct Proc {
-    child: Child,
-    addr: String,
-    repl_addr: Option<String>,
-}
-
-impl Proc {
-    fn kill(&mut self) {
-        self.child.kill().ok();
-        self.child.wait().ok();
-    }
-}
-
-impl Drop for Proc {
-    fn drop(&mut self) {
-        self.kill();
-    }
-}
-
-fn spawn_scraped(mut cmd: Command) -> Proc {
-    let mut child = cmd.stdout(Stdio::piped()).spawn().unwrap();
-    let mut out = BufReader::new(child.stdout.take().unwrap());
-    let (tx, rx) = mpsc::channel();
-    std::thread::spawn(move || loop {
-        let mut line = String::new();
-        match out.read_line(&mut line) {
-            Ok(0) | Err(_) => break,
-            Ok(_) => {
-                if tx.send(line.trim().to_string()).is_err() {
-                    break;
-                }
-            }
-        }
-    });
-    let mut repl_addr = None;
-    let addr = loop {
-        let line = rx
-            .recv_timeout(Duration::from_secs(60))
-            .expect("child prints `listening on`");
-        if let Some(rest) = line.strip_prefix("replication listening on ") {
-            repl_addr = Some(rest.to_string());
-        } else if let Some(rest) = line.strip_prefix("listening on ") {
-            break rest.to_string();
-        }
-    };
-    Proc {
-        child,
-        addr,
-        repl_addr,
-    }
-}
-
-fn spawn_serve(graph: &Path, data_dir: &Path, extra: &[&str]) -> Proc {
-    let mut cmd = rwr();
-    cmd.args(["serve", "--graph"])
-        .arg(graph)
-        .args(["--listen", "127.0.0.1:0", "--data-dir"])
-        .arg(data_dir)
-        .args(extra);
-    spawn_scraped(cmd)
-}
-
-/// One-shot request on a fresh connection.
-fn request(addr: &str, line: &str) -> Json {
-    let mut stream = TcpStream::connect(addr).unwrap();
-    stream
-        .set_read_timeout(Some(Duration::from_secs(30)))
-        .unwrap();
-    stream.write_all(line.as_bytes()).unwrap();
-    stream.write_all(b"\n").unwrap();
-    let mut response = String::new();
-    BufReader::new(&stream).read_line(&mut response).unwrap();
-    Json::parse(response.trim()).expect("server speaks json")
-}
 
 fn ok(response: &Json) -> bool {
     response.get("ok").and_then(Json::as_bool) == Some(true)
@@ -155,7 +59,7 @@ fn ns_signature(addr: &str, ns: &str) -> (u64, String) {
 #[test]
 fn sharded_cluster_isolates_tenants_and_survives_kills() {
     let dir = temp_dir("cluster");
-    let graph = graph_file(&dir);
+    let graph = graph_file(&dir, 200);
 
     // Shard 1 (tenants t0, t1) and shard 2 (catch-all: t2 + default),
     // each a primary with one replica.
@@ -340,13 +244,12 @@ fn sharded_cluster_isolates_tenants_and_survives_kills() {
 
     drop(restarted1);
     drop(restarted2);
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
 fn unmapped_namespace_is_a_typed_error_end_to_end() {
     let dir = temp_dir("unmapped");
-    let graph = graph_file(&dir);
+    let graph = graph_file(&dir, 200);
     let backend = spawn_serve(&graph, &dir.join("p"), &[]);
     let shard = format!("t0={}", backend.addr);
     let router = spawn_scraped({
@@ -376,5 +279,4 @@ fn unmapped_namespace_is_a_typed_error_end_to_end() {
     assert!(ok(&shutdown));
     drop(router);
     drop(backend);
-    let _ = std::fs::remove_dir_all(&dir);
 }

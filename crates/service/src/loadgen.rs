@@ -17,15 +17,15 @@
 //! The request stream is fully determined by the config (ids, sources, and
 //! seeds derive from `seed` arithmetic), so a run is reproducible.
 
+use crate::client::{connect, exchange_on, Conn};
 use crate::json::Json;
 use crate::metrics::Histogram;
 use crate::scheduler::splitmix64;
 use resacc::durability::DEFAULT_NAMESPACE;
-use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// Load-generator configuration.
 #[derive(Clone, Debug)]
@@ -293,36 +293,27 @@ fn rank_to_source(rank: u32, n: u64) -> u32 {
     ((rank as u64).wrapping_mul(2654435761) % n.max(1)) as u32
 }
 
-/// Opens a connection honoring `timeout_ms` for both the connect and
-/// subsequent reads (0 = block forever, the pre-timeout behavior).
-fn connect_with_timeout(addr: &str, timeout_ms: u64) -> std::io::Result<TcpStream> {
-    use std::net::ToSocketAddrs;
-    let stream = if timeout_ms == 0 {
-        TcpStream::connect(addr)?
-    } else {
-        let sock = addr
-            .to_socket_addrs()?
-            .next()
-            .ok_or_else(|| std::io::Error::new(std::io::ErrorKind::InvalidInput, "no address"))?;
-        let s = TcpStream::connect_timeout(&sock, std::time::Duration::from_millis(timeout_ms))?;
-        s.set_read_timeout(Some(std::time::Duration::from_millis(timeout_ms)))?;
-        s
-    };
-    Ok(stream)
+/// The client timeout for `timeout_ms` (0 = block forever, the
+/// pre-timeout behavior).
+fn client_timeout(timeout_ms: u64) -> Option<Duration> {
+    (timeout_ms > 0).then(|| Duration::from_millis(timeout_ms))
+}
+
+/// One request on `conn`, parsed.
+fn exchange_json(conn: &mut Conn, line: &str, timeout_ms: u64) -> std::io::Result<Json> {
+    let reply = exchange_on(conn, line, client_timeout(timeout_ms))?;
+    Json::parse(&reply).map_err(std::io::Error::other)
 }
 
 /// Asks the server how many nodes the tenant's graph has (`stats` op).
 fn fetch_nodes(addr: &str, ns: &str, timeout_ms: u64) -> std::io::Result<u64> {
-    let mut stream = connect_with_timeout(addr, timeout_ms)?;
     let request = if ns == DEFAULT_NAMESPACE {
-        "{\"op\":\"stats\"}\n".to_string()
+        "{\"op\":\"stats\"}".to_string()
     } else {
-        format!("{{\"op\":\"stats\",\"namespace\":\"{ns}\"}}\n")
+        format!("{{\"op\":\"stats\",\"namespace\":\"{ns}\"}}")
     };
-    stream.write_all(request.as_bytes())?;
-    let mut line = String::new();
-    BufReader::new(&stream).read_line(&mut line)?;
-    Json::parse(line.trim())
+    let mut conn = connect(addr, client_timeout(timeout_ms))?;
+    exchange_json(&mut conn, &request, timeout_ms)
         .ok()
         .and_then(|j| j.get("nodes").and_then(Json::as_u64))
         .ok_or_else(|| std::io::Error::other("bad stats response"))
@@ -337,17 +328,8 @@ const SEED_RING: u64 = 64;
 /// graph with a deterministic [`SEED_RING`]-node ring. Returns the
 /// tenant's node count.
 fn ensure_tenant(addr: &str, ns: &str, timeout_ms: u64) -> std::io::Result<u64> {
-    let mut stream = connect_with_timeout(addr, timeout_ms)?;
-    let mut reader = BufReader::new(stream.try_clone()?);
-    let mut exchange = |line: String| -> std::io::Result<Json> {
-        stream.write_all(line.as_bytes())?;
-        stream.write_all(b"\n")?;
-        let mut resp = String::new();
-        if reader.read_line(&mut resp)? == 0 {
-            return Err(std::io::Error::other("connection closed during tenant setup"));
-        }
-        Json::parse(resp.trim()).map_err(std::io::Error::other)
-    };
+    let mut conn = connect(addr, client_timeout(timeout_ms))?;
+    let mut exchange = |line: String| exchange_json(&mut conn, &line, timeout_ms);
     let created = exchange(format!("{{\"op\":\"create_namespace\",\"namespace\":\"{ns}\"}}"))?;
     if created.get("ok").and_then(Json::as_bool) != Some(true) {
         let rendered = created.render();
@@ -380,11 +362,8 @@ fn ensure_tenant(addr: &str, ns: &str, timeout_ms: u64) -> std::io::Result<u64> 
 /// Fetches (hit_rate, coalesced) from the server.
 fn fetch_cache_stats(addr: &str, timeout_ms: u64) -> (f64, u64) {
     let stats = || -> std::io::Result<(f64, u64)> {
-        let mut stream = connect_with_timeout(addr, timeout_ms)?;
-        stream.write_all(b"{\"op\":\"stats\"}\n")?;
-        let mut line = String::new();
-        BufReader::new(&stream).read_line(&mut line)?;
-        let j = Json::parse(line.trim()).map_err(std::io::Error::other)?;
+        let mut conn = connect(addr, client_timeout(timeout_ms))?;
+        let j = exchange_json(&mut conn, "{\"op\":\"stats\"}", timeout_ms)?;
         let s = j.get("stats").ok_or_else(|| std::io::Error::other("no stats"))?;
         Ok((
             s.get("hit_rate").and_then(Json::as_f64).unwrap_or(0.0),
@@ -487,11 +466,9 @@ pub fn run(config: &LoadgenConfig) -> std::io::Result<LoadgenReport> {
                 // tenant: the version of its latest acked write on that
                 // tenant's log (`--via-router`).
                 let mut min_version = vec![0u64; tenants.len()];
+                let timeout = client_timeout(config.timeout_ms);
                 let mut run = || -> std::io::Result<()> {
-                    let stream = connect_with_timeout(&config.addr, config.timeout_ms)?;
-                    let mut reader = BufReader::new(stream.try_clone()?);
-                    let mut stream = stream;
-                    let mut line = String::new();
+                    let mut conn = connect(&config.addr, timeout)?;
                     for i in 0..per {
                         let id = id_base + i;
                         // The tenant draw only exists when the mix spans
@@ -519,12 +496,12 @@ pub fn run(config: &LoadgenConfig) -> std::io::Result<LoadgenReport> {
                             let u = rng.next_u64() % n.max(1);
                             let v = rng.next_u64() % n.max(1);
                             format!(
-                                "{{\"id\":{id},\"op\":\"insert_edges\"{ns_field},\"edges\":[[{u},{v}]]}}\n"
+                                "{{\"id\":{id},\"op\":\"insert_edges\"{ns_field},\"edges\":[[{u},{v}]]}}"
                             )
                         } else if is_delete {
                             let node = rng.next_u64() % n.max(1);
                             format!(
-                                "{{\"id\":{id},\"op\":\"delete_node\"{ns_field},\"node\":{node}}}\n"
+                                "{{\"id\":{id},\"op\":\"delete_node\"{ns_field},\"node\":{node}}}"
                             )
                         } else {
                             let rank = zipf.sample(rng.next_f64());
@@ -553,46 +530,36 @@ pub fn run(config: &LoadgenConfig) -> std::io::Result<LoadgenReport> {
                                 String::new()
                             };
                             format!(
-                                "{{\"id\":{id},\"op\":\"query\"{ns_field},\"source\":{source},\"seed\":{seed},\"k\":{}{deadline}{threads}{minv}}}\n",
+                                "{{\"id\":{id},\"op\":\"query\"{ns_field},\"source\":{source},\"seed\":{seed},\"k\":{}{deadline}{threads}{minv}}}",
                                 config.k
                             )
                         };
                         let sent = Instant::now();
-                        let exchanged = (|| -> std::io::Result<()> {
-                            stream.write_all(request.as_bytes())?;
-                            line.clear();
-                            if reader.read_line(&mut line)? == 0 {
-                                // A missing response is never acceptable,
-                                // chaos or not: surface it as a hard error.
-                                return Err(std::io::Error::other(
-                                    "connection closed mid-request",
-                                ));
+                        // A missing response is never acceptable, chaos or
+                        // not: EOF surfaces as a hard error.
+                        let line = match exchange_on(&mut conn, &request, timeout) {
+                            Ok(line) => line,
+                            Err(e) => {
+                                let timed_out = config.timeout_ms > 0
+                                    && matches!(
+                                        e.kind(),
+                                        std::io::ErrorKind::TimedOut
+                                            | std::io::ErrorKind::WouldBlock
+                                    );
+                                if timed_out {
+                                    // One request lost to a hung peer, not the
+                                    // whole connection's remainder. Reopen: the
+                                    // late response could still arrive on the
+                                    // old socket and desynchronize pairing.
+                                    errors.fetch_add(1, Ordering::Relaxed);
+                                    net_timeouts.fetch_add(1, Ordering::Relaxed);
+                                    conn = connect(&config.addr, timeout)?;
+                                    continue;
+                                }
+                                return Err(e);
                             }
-                            Ok(())
-                        })();
-                        if let Err(e) = exchanged {
-                            let timed_out = config.timeout_ms > 0
-                                && matches!(
-                                    e.kind(),
-                                    std::io::ErrorKind::TimedOut
-                                        | std::io::ErrorKind::WouldBlock
-                                );
-                            if timed_out {
-                                // One request lost to a hung peer, not the
-                                // whole connection's remainder. Reopen: the
-                                // late response could still arrive on the
-                                // old socket and desynchronize pairing.
-                                errors.fetch_add(1, Ordering::Relaxed);
-                                net_timeouts.fetch_add(1, Ordering::Relaxed);
-                                let s =
-                                    connect_with_timeout(&config.addr, config.timeout_ms)?;
-                                reader = BufReader::new(s.try_clone()?);
-                                stream = s;
-                                continue;
-                            }
-                            return Err(e);
-                        }
-                        let response = Json::parse(line.trim()).ok();
+                        };
+                        let response = Json::parse(&line).ok();
                         let ok = response
                             .as_ref()
                             .and_then(|j| j.get("ok").and_then(Json::as_bool))
@@ -720,7 +687,7 @@ pub fn run(config: &LoadgenConfig) -> std::io::Result<LoadgenReport> {
 /// finish draining (observed as the listener going away), in milliseconds.
 fn shutdown_and_measure_drain(addr: &str) -> std::io::Result<f64> {
     let started = Instant::now();
-    crate::server::request_shutdown(addr)?;
+    crate::client::shutdown(addr)?;
     // The listener closes when `serve` returns — i.e. once every connection
     // handler has drained and been joined.
     let cap = std::time::Duration::from_secs(10);
@@ -839,13 +806,13 @@ mod tests {
         // untouched (tenant isolation seen from the client side).
         assert_eq!(session.version(), 0);
         // All three tenants exist server-side afterwards.
-        let mut stream = TcpStream::connect(handle.addr()).unwrap();
-        stream
-            .write_all(b"{\"op\":\"list_namespaces\"}\n")
-            .unwrap();
-        let mut line = String::new();
-        BufReader::new(&stream).read_line(&mut line).unwrap();
-        let listed = Json::parse(line.trim()).unwrap();
+        let line = crate::client::request(
+            &handle.addr().to_string(),
+            "{\"op\":\"list_namespaces\"}",
+            None,
+        )
+        .unwrap();
+        let listed = Json::parse(&line).unwrap();
         assert_eq!(
             listed.get("namespaces").unwrap().render(),
             r#"["default","t0","t1","t2"]"#

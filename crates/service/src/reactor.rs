@@ -1,12 +1,11 @@
-//! Readiness-driven connection engine ([`crate::server::ServerBackend::Event`]).
+//! Readiness-driven connection engine behind [`crate::server::serve`].
 //!
 //! One reactor thread multiplexes every connection over epoll (via the
 //! `mio` poller shim): nonblocking sockets, per-connection state machines
 //! that accumulate partial NDJSON lines and drain partial writes, and a
 //! small executor pool for blocking work. Thread count is
 //! `1 + workers` regardless of connection count — the property
-//! `bench_c10k` gates on — where the thread-per-connection engine needs
-//! one thread per open socket.
+//! `bench_c10k` gates on.
 //!
 //! ```text
 //!            ┌────────────────────────── reactor thread ─────────────────────────┐
@@ -19,15 +18,15 @@
 //!                                         scheduler.apply → group commit)
 //! ```
 //!
-//! ## Equivalence with the threaded engine
+//! ## Ordering and the wire contract
 //!
 //! Each connection processes its lines **strictly in order, one at a
 //! time**: while a query/mutation/promotion is in flight, later buffered
-//! lines wait — exactly the semantics of a dedicated connection thread
-//! executing them synchronously. Every response byte is rendered by the
-//! same `server.rs` helpers ([`route_line`], [`render_query_outcome`],
-//! [`apply_response`], [`promote_json`]). The equivalence suite replays
-//! identical workloads against both engines and diffs the bytes.
+//! lines wait, so responses come back in request order. Every response
+//! byte is rendered by the `server.rs` helpers ([`route_line`],
+//! [`render_query_outcome`], [`apply_response`], [`promote_json`]). The
+//! golden-transcript tests in `server.rs` replay fixed workloads and
+//! compare the bytes with the files under `testdata/`.
 //!
 //! ## Why mutations get a pool, not the reactor thread
 //!
@@ -44,7 +43,7 @@
 //!   not a thread; thousands of them leave latency for real clients
 //!   untouched (`bench_c10k`'s idle tiers measure exactly this).
 //! * **Idle timeout**: reaped when no byte arrives for `idle_timeout_ms`
-//!   and nothing is pending — same rule as the threaded engine.
+//!   and nothing is pending.
 //! * **Oversized lines**: one error response, then the connection drains
 //!   and closes; the partial line is dropped, never buffered unboundedly.
 //! * **EOF**: buffered complete lines are still answered (half-close
@@ -136,8 +135,8 @@ struct Conn {
     /// Rendered responses not yet accepted by the socket.
     wbuf: Vec<u8>,
     /// Sequence number of the one in-flight asynchronous op, if any.
-    /// While set, later buffered lines are *not* routed — per-connection
-    /// ordering is exactly the threaded engine's.
+    /// While set, later buffered lines are *not* routed, which keeps
+    /// responses in request order.
     awaiting: Option<u64>,
     /// Last moment a byte arrived (the idle clock).
     last_activity: Instant,
@@ -260,8 +259,8 @@ pub(crate) fn run(
         );
     }
 
-    // Listener-level counters (rejects, accept errors) land on the
-    // default tenant's surface, matching the threaded engine.
+    // Listener-level counters (rejects, accept errors) are not owned by
+    // any one tenant; they land on the default tenant's surface.
     let listener_metrics = tenants.default_tenant().scheduler.metrics().clone();
     let mut ctx = Ctx {
         tenants,
@@ -368,8 +367,7 @@ pub(crate) fn run(
 
         // A shutdown op flipped `stopping` this iteration: stop accepting
         // and put every connection into drain — each still answers the
-        // complete lines it has already read, exactly like a threaded
-        // handler observing the stop flag.
+        // complete lines it has already read.
         if ctx.stopping && !was_stopping {
             if listener_registered {
                 let _ = poll.deregister(&listener);
@@ -449,10 +447,11 @@ fn drain_wake(wake_rx: &UnixStream) {
     while matches!((&*wake_rx).read(&mut buf), Ok(n) if n > 0) {}
 }
 
-/// Tells an over-cap client why it is being dropped, best-effort. The
-/// socket is fresh, so a single nonblocking write reaches the kernel
+/// Tells an over-cap client why it is being dropped, best-effort — the
+/// one typed `overloaded` rejection both the server and the router send.
+/// The socket is fresh, so a single nonblocking write reaches the kernel
 /// buffer or the client was never going to hear from us anyway.
-fn reject(stream: TcpStream, max_conns: usize) {
+pub(crate) fn reject(stream: TcpStream, max_conns: usize) {
     let _ = stream.set_nonblocking(true);
     let response = error_fields(
         None,
@@ -503,8 +502,8 @@ fn read_ready(conn: &mut Conn, conn_id: usize, ctx: &mut Ctx) {
             Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
             Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
             Err(_) => {
-                // Hard error: drop whatever is in flight, like a threaded
-                // handler returning on ReadStep::Failed.
+                // Hard error: nothing more can be exchanged; drop
+                // whatever is in flight.
                 conn.rbuf.clear();
                 conn.wbuf.clear();
                 conn.awaiting = None;
@@ -517,7 +516,7 @@ fn read_ready(conn: &mut Conn, conn_id: usize, ctx: &mut Ctx) {
 
 /// Routes buffered complete lines until one goes asynchronous (or the
 /// buffer runs dry). The `awaiting` gate serializes each connection's
-/// requests exactly as a dedicated thread would.
+/// requests.
 fn advance(conn: &mut Conn, conn_id: usize, ctx: &mut Ctx) {
     while conn.awaiting.is_none() {
         let Some(line) = take_buffered_line(&mut conn.rbuf) else {
@@ -535,8 +534,7 @@ fn advance(conn: &mut Conn, conn_id: usize, ctx: &mut Ctx) {
             LineOutcome::Respond(json) => conn.push_response(&json),
             LineOutcome::Shutdown(json) => {
                 conn.push_response(&json);
-                // The initiator answers nothing further — identical to a
-                // threaded handler returning right after the ack.
+                // The initiator answers nothing further after the ack.
                 conn.rbuf.clear();
                 conn.no_more_reads = true;
                 ctx.stopping = true;

@@ -46,14 +46,14 @@ pub(crate) mod retry;
 
 pub use pool::{Backend, BackendPool, BreakerState, NsProbe, ProbeInfo};
 
+use crate::client::{connect, exchange_split, ExchangeError};
 use crate::json::Json;
 use crate::server::{
-    accept_seed, error_fields, ok_response, request_shutdown, take_buffered_line, ACCEPT_BACKOFF,
-    READ_POLL,
+    accept_seed, error_fields, ok_response, take_buffered_line, ACCEPT_BACKOFF, READ_POLL,
 };
 use hedge::LatencyWindow;
 use resacc::durability::{valid_namespace, DEFAULT_NAMESPACE};
-use retry::{connect, exchange_split, ExchangeError, RouterError, RETRY_BACKOFF};
+use retry::{RouterError, RETRY_BACKOFF};
 
 use std::collections::HashMap;
 use std::io::{Read, Write};
@@ -356,7 +356,7 @@ pub fn serve(listener: TcpListener, config: RouterConfig) -> std::io::Result<()>
                 accept_failures = 0;
                 handlers.retain(|t| !t.is_finished());
                 if inner.cfg.max_conns != 0 && handlers.len() >= inner.cfg.max_conns {
-                    drop(stream);
+                    crate::reactor::reject(stream, inner.cfg.max_conns);
                     continue;
                 }
                 let inner = inner.clone();
@@ -404,7 +404,7 @@ impl RouterHandle {
 
     /// Sends `shutdown` and joins the serve thread.
     pub fn shutdown(mut self) -> std::io::Result<()> {
-        request_shutdown(&self.addr.to_string())?;
+        crate::client::shutdown(&self.addr.to_string())?;
         match self.thread.take() {
             Some(t) => t.join().unwrap_or_else(|_| {
                 Err(std::io::Error::other("router thread panicked"))
@@ -417,7 +417,7 @@ impl RouterHandle {
 impl Drop for RouterHandle {
     fn drop(&mut self) {
         if let Some(t) = self.thread.take() {
-            let _ = request_shutdown(&self.addr.to_string());
+            let _ = crate::client::shutdown(&self.addr.to_string());
             let _ = t.join();
         }
     }
@@ -437,8 +437,9 @@ pub fn spawn(addr: &str, config: RouterConfig) -> std::io::Result<RouterHandle> 
 }
 
 /// Handles one client connection; true when the client asked the router
-/// to shut down. Same buffered-line read loop as the server's threaded
-/// engine, so partial lines and idle timeouts behave identically.
+/// to shut down. Lines are framed by the server's `take_buffered_line`
+/// and bounded by the same `max_line_bytes` rule, and the short read-poll
+/// lets the handler observe `stop` and the idle timeout.
 fn handle_client(stream: TcpStream, inner: &Inner, stop: &AtomicBool) -> bool {
     let _ = stream.set_read_timeout(Some(READ_POLL));
     let mut read_half = match stream.try_clone() {
@@ -733,8 +734,8 @@ fn route_mutation(line: &str, id: Option<u64>, ns: &str, shard: &Arc<Shard>, inn
     inner.metrics.mutations.fetch_add(1, Ordering::Relaxed);
     let cfg = &inner.cfg;
     let deadline = Instant::now() + Duration::from_millis(cfg.park_ms);
-    let read_timeout = Duration::from_millis(cfg.read_timeout_ms);
-    let connect_timeout = Duration::from_millis(cfg.probe_timeout_ms);
+    let read_timeout = Some(Duration::from_millis(cfg.read_timeout_ms));
+    let connect_timeout = Some(Duration::from_millis(cfg.probe_timeout_ms));
     let budget = cfg.retry_budget.max(1);
     let mut attempts = 0u32;
     let mut parked = false;
@@ -1387,6 +1388,30 @@ mod tests {
         assert!(rt.get("reads").unwrap().as_u64().unwrap() >= 2);
         assert_eq!(rt.get("mutations").unwrap().as_u64(), Some(1));
 
+        router.shutdown().unwrap();
+        backend.shutdown().unwrap();
+    }
+
+    /// Over `max_conns`, a client gets the server's typed `overloaded`
+    /// line before the close, not a bare EOF.
+    #[test]
+    fn connection_cap_rejects_with_typed_error() {
+        let backend = spawn_server("127.0.0.1:0", Arc::new(RwrSession::new(graph())), ServerConfig::default())
+            .unwrap();
+        let mut cfg = RouterConfig::new(vec![backend.addr().to_string()]);
+        cfg.max_conns = 1;
+        let router = spawn("127.0.0.1:0", cfg).unwrap();
+        let mut keeper = TcpStream::connect(router.addr()).unwrap();
+        // Make sure the first connection is registered before the second.
+        let ok = roundtrip(&mut keeper, r#"{"op":"ping"}"#);
+        assert_eq!(ok.get("ok").unwrap().as_bool(), Some(true));
+        let over = TcpStream::connect(router.addr()).unwrap();
+        let mut response = String::new();
+        BufReader::new(over).read_line(&mut response).unwrap();
+        let r = Json::parse(response.trim()).expect("typed rejection, not EOF");
+        assert_eq!(r.get("error").unwrap().as_str(), Some("overloaded"));
+        assert!(r.get("detail").unwrap().as_str().unwrap().contains("max 1"));
+        drop(keeper);
         router.shutdown().unwrap();
         backend.shutdown().unwrap();
     }

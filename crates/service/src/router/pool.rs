@@ -9,7 +9,7 @@
 //! `lag_records` orders replicas for load-balancing.
 
 use crate::json::Json;
-use crate::router::retry::{connect, exchange_on, Conn};
+use crate::client::{request, Conn};
 use crate::router::{RouterConfig, RouterMetrics};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -258,9 +258,8 @@ impl BackendPool {
                 return false;
             }
         }
-        let timeout = Duration::from_millis(self.cfg.probe_timeout_ms);
-        let outcome = connect(&backend.addr, timeout)
-            .and_then(|mut conn| exchange_on(&mut conn, "{\"op\":\"stats\",\"id\":0}", timeout));
+        let timeout = Some(Duration::from_millis(self.cfg.probe_timeout_ms));
+        let outcome = request(&backend.addr, "{\"op\":\"stats\",\"id\":0}", timeout);
         match outcome.ok().and_then(|raw| Json::parse(&raw).ok()) {
             Some(parsed) => {
                 let info = parse_probe(&parsed);
