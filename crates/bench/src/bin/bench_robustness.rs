@@ -89,7 +89,6 @@ fn drive(
         per_request_seeds: true,
         k: 10,
         deadline_ms,
-        threads: 0,
         chaos: true,
         ..LoadgenConfig::default()
     })

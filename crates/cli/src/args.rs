@@ -22,9 +22,6 @@ options:
   --alpha <f>                         restart probability (default 0.2)
   --epsilon <f>                       relative error target (default 0.5)
   --seed <n>                          RNG seed (default 1)
-  --threads <n>                       intra-query threads for the remedy
-                                      phase (default 1; results are
-                                      bit-identical at any thread count)
   --symmetric                         treat each edge as undirected
   --out <file>                        output path (convert)
 
@@ -38,8 +35,6 @@ serve options:
   --queue-cap <n>                     shed load beyond this many in-flight
                                       requests (default 4096; 0 = unbounded)
   --max-conns <n>                     connection cap (default 256)
-  --threads <n>                       intra-query threads per engine run
-                                      (default 1; capped at cores/workers)
   --chaos <spec>                      fault injection, e.g. panic=10,
                                       delay=16:5,expire=7,cdelay=1:5,
                                       seed=42
@@ -149,8 +144,6 @@ loadgen options:
   --sources <n>                       distinct sources drawn (default 64)
   --per-request-seeds                 unique seed per request (defeats cache)
   --deadline-ms <n>                   send a deadline with every query
-  --threads <n>                       send a per-request thread hint
-                                      (0 = omit; never changes results)
   --write-mix <p>                     fraction of requests sent as
                                       deterministic insert_edges mutations
                                       (default 0; seed-derived endpoints)
@@ -224,7 +217,6 @@ pub struct Cli {
     pub deadline_ms: u64,
     pub queue_cap: usize,
     pub max_conns: usize,
-    pub threads: usize,
     pub chaos_spec: Option<String>,
     pub chaos: bool,
     pub shutdown_after: bool,
@@ -309,7 +301,6 @@ impl Cli {
             deadline_ms: 0,
             queue_cap: 4096,
             max_conns: 256,
-            threads: 0,
             chaos_spec: None,
             chaos: false,
             shutdown_after: false,
@@ -385,7 +376,6 @@ impl Cli {
                 }
                 "--queue-cap" => cli.queue_cap = parse_num(&value("--queue-cap")?, "--queue-cap")?,
                 "--max-conns" => cli.max_conns = parse_num(&value("--max-conns")?, "--max-conns")?,
-                "--threads" => cli.threads = parse_num(&value("--threads")?, "--threads")?,
                 // `--chaos` takes a fault spec for `serve` and `netfault`
                 // (which inject the faults) and is a bare flag for `loadgen`
                 // (which only classifies the resulting typed errors).
@@ -645,17 +635,19 @@ mod tests {
     }
 
     #[test]
-    fn threads_flag_parses_everywhere() {
-        // Default is 0: "use the engine/server default" (serial).
-        let cli = parse("query --graph g.txt --source 1").unwrap();
-        assert_eq!(cli.threads, 0);
-        let cli = parse("query --graph g.txt --source 1 --threads 4").unwrap();
-        assert_eq!(cli.threads, 4);
-        let cli = parse("serve --graph g.txt --threads 8").unwrap();
-        assert_eq!(cli.threads, 8);
-        let cli = parse("loadgen --addr 127.0.0.1:9 --threads 2").unwrap();
-        assert_eq!(cli.threads, 2);
-        assert!(parse("query --graph g --source 1 --threads x").is_err());
+    fn threads_flag_is_unknown_everywhere() {
+        // The remedy phase runs serially; no command takes a thread count.
+        for cmd in [
+            "query --graph g.txt --source 1 --threads 2",
+            "serve --graph g.txt --threads 2",
+            "loadgen --addr 127.0.0.1:9 --threads 2",
+        ] {
+            assert_eq!(
+                parse(cmd).unwrap_err(),
+                "unknown flag \"--threads\"",
+                "{cmd}"
+            );
+        }
     }
 
     #[test]

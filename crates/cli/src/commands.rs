@@ -38,18 +38,12 @@ fn params_for(cli: &Cli, graph: &CsrGraph) -> RwrParams {
 }
 
 fn engine_for(cli: &Cli) -> Box<dyn SsrwrEngine> {
-    // `--threads` is a pure latency knob: the chunked-stream RNG contract
-    // guarantees bit-identical output at any thread count.
-    let threads = cli.threads.max(1);
     match cli.algo.as_str() {
         "fora" => Box::new(ForaEngine::default()),
-        "mc" => Box::new(MonteCarloEngine {
-            walks: None,
-            threads,
-        }),
+        "mc" => Box::new(MonteCarloEngine::default()),
         "power" => Box::new(PowerEngine::default()),
         "fwd" => Box::new(ForwardSearchEngine { r_max: 1e-8 }),
-        _ => Box::new(ResAcc::new(ResAccConfig::default().with_threads(threads))),
+        _ => Box::new(ResAcc::new(ResAccConfig::default())),
     }
 }
 
@@ -334,7 +328,6 @@ pub fn serve(cli: &Cli) -> Result<(), String> {
             }
         }
     };
-    let threads_per_query = cli.threads.max(1);
     let faults = match cli.chaos_spec.as_deref() {
         Some(spec) => resacc_service::FaultPlan::parse(spec).map_err(|e| format!("--chaos: {e}"))?,
         None => resacc_service::FaultPlan::default(),
@@ -347,7 +340,6 @@ pub fn serve(cli: &Cli) -> Result<(), String> {
         queue_cap: cli.queue_cap,
         default_deadline_ms: cli.deadline_ms,
         max_conns: cli.max_conns,
-        threads_per_query,
         faults,
         recovery: default_seed.recovery,
         replication: None,
@@ -556,12 +548,11 @@ pub fn serve(cli: &Cli) -> Result<(), String> {
         let session = tenant.scheduler.session();
         let g = session.graph();
         println!(
-            "# serving {} nodes / {} edges with {} workers, cache {}, {} thread(s)/query{}",
+            "# serving {} nodes / {} edges with {} workers, cache {}{}",
             g.num_nodes(),
             g.num_edges(),
             cli.workers,
             cli.cache,
-            threads_per_query,
             match tenants.count() {
                 1 => String::new(),
                 n => format!(", {n} namespaces"),
@@ -781,7 +772,6 @@ pub fn loadgen(cli: &Cli) -> Result<(), String> {
         per_request_seeds: cli.per_request_seeds,
         k: cli.top,
         deadline_ms: cli.deadline_ms,
-        threads: cli.threads,
         write_mix: cli.write_mix,
         delete_mix: cli.delete_mix,
         chaos: cli.chaos,
@@ -862,7 +852,6 @@ mod tests {
             deadline_ms: 0,
             queue_cap: 4096,
             max_conns: 256,
-            threads: 0,
             chaos_spec: None,
             chaos: false,
             shutdown_after: false,
@@ -968,12 +957,9 @@ mod tests {
     fn every_algo_flag_works() {
         let graph = temp_edge_list();
         for algo in ["resacc", "fora", "mc", "power", "fwd"] {
-            for threads in [0, 4] {
-                let mut cli = cli_for(&graph.path_str(), Command::Query);
-                cli.algo = algo.into();
-                cli.threads = threads;
-                assert!(query(&cli).is_ok(), "algo {algo} threads {threads}");
-            }
+            let mut cli = cli_for(&graph.path_str(), Command::Query);
+            cli.algo = algo.into();
+            assert!(query(&cli).is_ok(), "algo {algo}");
         }
     }
 }

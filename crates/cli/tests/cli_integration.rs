@@ -204,12 +204,12 @@ fn bad_usage_exits_nonzero_with_usage_text() {
     assert_eq!(out.status.code(), Some(1));
 }
 
-/// The tentpole e2e property: `serve --threads N` replaying an id stream
-/// over TCP is byte-identical to `--threads 1` and to a direct in-process
-/// session — in a clean run and under an id-keyed `--chaos` fault plan
-/// (where only the plan's target ids may deviate, with typed errors).
+/// The e2e determinism property: `serve` replaying an id stream over TCP is
+/// byte-identical to a direct in-process session — in a clean run and
+/// under an id-keyed `--chaos` fault plan (where only the plan's target ids
+/// may deviate, with typed errors).
 #[test]
-fn serve_threads_replay_is_bitwise_identical_clean_and_under_chaos() {
+fn serve_replay_is_bitwise_identical_clean_and_under_chaos() {
     use resacc_service::json::Json;
 
     let (_dir, graph_path) = temp_graph();
@@ -255,25 +255,17 @@ fn serve_threads_replay_is_bitwise_identical_clean_and_under_chaos() {
         assert!(server.child.wait().unwrap().success());
     };
 
-    // Clean runs at 1 and 4 threads per query.
-    let server1 = spawn_serve(&["--threads", "1"]);
-    let serial = replay(&server1.addr);
-    shutdown(server1);
-    let server4 = spawn_serve(&["--threads", "4"]);
-    let parallel = replay(&server4.addr);
-    shutdown(server4);
-    assert_eq!(serial, parallel, "threads must never change served bytes");
+    let server = spawn_serve(&[]);
+    let clean = replay(&server.addr);
+    shutdown(server);
 
     // Direct in-process session: the served scores must be bit-identical.
     let graph = resacc_graph::edgelist::load_edge_list(&graph_path, None, false).unwrap();
     let n = graph.num_nodes().max(2) as f64;
     let params = resacc::RwrParams::new(0.2, 0.5, 1.0 / n, 1.0 / n);
-    let session = resacc::RwrSession::with_config(
-        graph,
-        params,
-        resacc::resacc::ResAccConfig::default().with_threads(4),
-    );
-    for (id, outcome) in &serial {
+    let session =
+        resacc::RwrSession::with_config(graph, params, resacc::resacc::ResAccConfig::default());
+    for (id, outcome) in &clean {
         let rendered = outcome.as_ref().expect("clean run has no errors");
         let served: Vec<f64> = Json::parse(rendered)
             .unwrap()
@@ -289,14 +281,13 @@ fn serve_threads_replay_is_bitwise_identical_clean_and_under_chaos() {
         }
     }
 
-    // Chaos run at 4 threads: the fault plan keys on request id (expiry
-    // checked before panic), so exactly ids {7,14,21} time out, {10,20}
-    // panic, and every other id must still serve the identical bytes.
-    let chaos_server =
-        spawn_serve(&["--threads", "4", "--chaos", "panic=10,delay=16:2,expire=7,seed=42"]);
+    // Chaos run: the fault plan keys on request id (expiry checked before
+    // panic), so exactly ids {7,14,21} time out, {10,20} panic, and every
+    // other id must still serve the identical bytes.
+    let chaos_server = spawn_serve(&["--chaos", "panic=10,delay=16:2,expire=7,seed=42"]);
     let chaotic = replay(&chaos_server.addr);
     shutdown(chaos_server);
-    for ((id, clean), (cid, chaotic)) in serial.iter().zip(&chaotic) {
+    for ((id, clean), (cid, chaotic)) in clean.iter().zip(&chaotic) {
         assert_eq!(id, cid);
         match (id % 7 == 0, id % 10 == 0) {
             (true, _) => assert_eq!(

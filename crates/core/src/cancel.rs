@@ -23,7 +23,7 @@
 //! under a deadline is bit-identical to one that ran without it. The token
 //! only decides whether the query finishes, never what it computes.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -180,38 +180,16 @@ impl Ticker<'_> {
             Ok(())
         }
     }
-}
-
-/// A [`Ticker`] shared by several worker threads: one atomic op counter,
-/// one real [`Cancel::check`] whenever the *combined* count crosses a
-/// [`CHECK_INTERVAL`] boundary. This keeps the abort latency of a parallel
-/// phase the same O(interval) bound the serial ticker gives, instead of
-/// O(interval × threads).
-pub struct SharedTicker<'c> {
-    cancel: &'c Cancel,
-    ops: AtomicU64,
-}
-
-impl<'c> SharedTicker<'c> {
-    /// Starts a shared ticker over `cancel`.
-    pub fn new(cancel: &'c Cancel) -> Self {
-        SharedTicker {
-            cancel,
-            ops: AtomicU64::new(0),
-        }
-    }
 
     /// Counts `n` operations at once (e.g. one walk chunk); performs the
-    /// real check when the shared count crosses a `CHECK_INTERVAL`
-    /// boundary. Safe to call from any number of threads.
+    /// real check when the running count crosses a [`CHECK_INTERVAL`]
+    /// boundary, so it checks exactly where `n` single ticks would.
     #[inline]
-    pub fn tick_n(&self, n: u64) -> Result<(), QueryError> {
-        if n == 0 {
-            return Ok(());
-        }
-        let interval = CHECK_INTERVAL as u64;
-        let prev = self.ops.fetch_add(n, Ordering::Relaxed);
-        if prev / interval != (prev + n) / interval {
+    pub fn tick_n(&mut self, n: u64) -> Result<(), QueryError> {
+        let interval = u64::from(CHECK_INTERVAL);
+        let total = u64::from(self.ops) + n;
+        self.ops = (total % interval) as u32;
+        if total >= interval {
             self.cancel.check()
         } else {
             Ok(())
@@ -269,20 +247,25 @@ mod tests {
     }
 
     #[test]
-    fn shared_ticker_checks_on_interval_boundaries() {
+    fn ticker_tick_n_checks_on_interval_boundaries() {
         let c = Cancel::at(Instant::now() - Duration::from_millis(1));
-        let t = SharedTicker::new(&c);
+        let mut t = c.ticker();
         // 1023 ops stay inside the first interval: no check yet.
         assert!(t.tick_n(CHECK_INTERVAL as u64 - 1).is_ok());
         assert!(t.tick_n(0).is_ok());
         // The next op crosses the boundary and performs the real check.
         assert_eq!(t.tick_n(1), Err(QueryError::DeadlineExceeded));
         // A bulk tick spanning several intervals checks too.
-        let t2 = SharedTicker::new(&c);
+        let mut t2 = c.ticker();
         assert_eq!(
             t2.tick_n(10 * CHECK_INTERVAL as u64),
             Err(QueryError::DeadlineExceeded)
         );
+        // Mixed single and bulk ticks share one running count.
+        let mut t3 = c.ticker();
+        assert!(t3.tick().is_ok());
+        assert!(t3.tick_n(CHECK_INTERVAL as u64 - 2).is_ok());
+        assert_eq!(t3.tick(), Err(QueryError::DeadlineExceeded));
     }
 
     #[test]

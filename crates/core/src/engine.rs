@@ -91,8 +91,6 @@ impl SsrwrEngine for ForwardSearchEngine {
 pub struct MonteCarloEngine {
     /// Optional explicit walk budget (`None` = the guarantee's count).
     pub walks: Option<u64>,
-    /// Worker threads (`0`/`1` = serial; never affects results).
-    pub threads: usize,
 }
 
 impl SsrwrEngine for MonteCarloEngine {
@@ -100,21 +98,11 @@ impl SsrwrEngine for MonteCarloEngine {
         "MC"
     }
     fn ssrwr(&self, graph: &CsrGraph, source: NodeId, params: &RwrParams, seed: u64) -> Vec<f64> {
-        let threads = self.threads.max(1);
         let n_walks = self
             .walks
             .unwrap_or_else(|| params.walk_coefficient().ceil() as u64);
-        crate::monte_carlo::monte_carlo_with_walks_guarded(
-            graph,
-            source,
-            params.alpha,
-            n_walks,
-            seed,
-            threads,
-            &crate::Cancel::never(),
-        )
-        .expect("never-cancel token cannot abort")
-        .scores
+        crate::monte_carlo::monte_carlo_with_walks(graph, source, params.alpha, n_walks, seed)
+            .scores
     }
 }
 

@@ -66,7 +66,6 @@ pub mod forward_push;
 pub mod hubppr;
 pub mod monte_carlo;
 pub mod msrwr;
-pub mod par;
 pub mod params;
 pub mod particle_filter;
 pub mod power;
@@ -78,6 +77,7 @@ pub mod state;
 pub mod topk;
 pub mod topppr;
 pub mod tpa;
+pub mod walk_plan;
 pub mod walker;
 
 pub use cancel::{Cancel, QueryError};

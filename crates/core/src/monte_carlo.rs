@@ -22,15 +22,14 @@
 //!
 //! Both MC and remedy compile their walk budgets into a [`WalkPlan`]
 //! (per-node budgets split into `CHECK_INTERVAL`-sized chunks, each chunk
-//! on a private RNG stream — see [`crate::par`]) and execute it with
-//! [`run_plan`]. The plan is the RNG contract: results are bit-identical
-//! for every thread count, so `remedy(..)` ≡ `remedy_parallel(.., threads=N, ..)`
-//! byte for byte.
+//! on a private RNG stream — see [`crate::walk_plan`]) and execute it with
+//! [`run_plan`]. The plan is the RNG contract: a seeded run is a pure
+//! function of `(graph, residues, seed)`.
 
 use crate::cancel::{Cancel, QueryError};
-use crate::par::{run_plan, WalkPlan};
 use crate::params::RwrParams;
 use crate::state::ForwardState;
+use crate::walk_plan::{run_plan, WalkPlan};
 use resacc_graph::{CsrGraph, NodeId};
 
 /// Result of a Monte-Carlo or remedy run.
@@ -49,20 +48,6 @@ pub fn monte_carlo(graph: &CsrGraph, source: NodeId, params: &RwrParams, seed: u
     monte_carlo_with_walks(graph, source, params.alpha, n_r, seed)
 }
 
-/// [`monte_carlo`] across `threads` worker threads. Bit-identical to the
-/// serial path for every thread count.
-pub fn monte_carlo_parallel(
-    graph: &CsrGraph,
-    source: NodeId,
-    params: &RwrParams,
-    seed: u64,
-    threads: usize,
-    cancel: &Cancel,
-) -> Result<McResult, QueryError> {
-    let n_r = params.walk_coefficient().ceil() as u64;
-    monte_carlo_with_walks_guarded(graph, source, params.alpha, n_r, seed, threads, cancel)
-}
-
 /// Random-walk sampling with an explicit walk budget (used by the
 /// equal-time fairness experiments and by Particle Filtering's baseline).
 pub fn monte_carlo_with_walks(
@@ -72,18 +57,17 @@ pub fn monte_carlo_with_walks(
     n_walks: u64,
     seed: u64,
 ) -> McResult {
-    monte_carlo_with_walks_guarded(graph, source, alpha, n_walks, seed, 1, &Cancel::never())
+    monte_carlo_with_walks_guarded(graph, source, alpha, n_walks, seed, &Cancel::never())
         .expect("never-cancel token cannot abort")
 }
 
-/// [`monte_carlo_with_walks`] with a thread budget and a cancel token.
+/// [`monte_carlo_with_walks`] with a cancel token.
 pub fn monte_carlo_with_walks_guarded(
     graph: &CsrGraph,
     source: NodeId,
     alpha: f64,
     n_walks: u64,
     seed: u64,
-    threads: usize,
     cancel: &Cancel,
 ) -> Result<McResult, QueryError> {
     let mut scores = vec![0.0f64; graph.num_nodes()];
@@ -91,7 +75,7 @@ pub fn monte_carlo_with_walks_guarded(
     if n_walks > 0 {
         plan.push_node(source, n_walks, 1.0 / n_walks as f64, seed);
     }
-    run_plan(graph, alpha, &plan, threads, &mut scores, cancel)?;
+    run_plan(graph, alpha, &plan, &mut scores, cancel)?;
     Ok(McResult {
         scores,
         walks: plan.total_walks,
@@ -112,51 +96,30 @@ pub fn remedy(
     seed: u64,
     scores: &mut [f64],
 ) -> u64 {
-    remedy_parallel(
+    remedy_cancellable(
         graph,
         state,
         params,
         walk_scale,
         seed,
-        1,
         scores,
         &Cancel::never(),
     )
     .expect("never-cancel token cannot abort")
 }
 
-/// [`remedy`] with cooperative cancellation, single-threaded. Kept for
-/// callers that predate the thread budget; equivalent to
-/// [`remedy_parallel`] with `threads = 1`.
-#[allow(clippy::too_many_arguments)]
+/// [`remedy`] with cooperative cancellation.
+///
+/// Compiles the per-node budgets `⌈r·c⌉` into a [`WalkPlan`] (residues in
+/// first-touch order, budgets split into `CHECK_INTERVAL`-sized chunks on
+/// private RNG streams) and executes it with [`run_plan`]: a run that
+/// *completes* under a cancel token is bit-identical to an uncancelled run.
 pub fn remedy_cancellable(
     graph: &CsrGraph,
     state: &ForwardState,
     params: &RwrParams,
     walk_scale: f64,
     seed: u64,
-    scores: &mut [f64],
-    cancel: &Cancel,
-) -> Result<u64, QueryError> {
-    remedy_parallel(graph, state, params, walk_scale, seed, 1, scores, cancel)
-}
-
-/// The remedy phase across `threads` worker threads with cooperative
-/// cancellation.
-///
-/// Compiles the per-node budgets `⌈r·c⌉` into a [`WalkPlan`] (residues in
-/// first-touch order, budgets split into `CHECK_INTERVAL`-sized chunks on
-/// private RNG streams) and executes it with [`run_plan`]: results are
-/// bit-identical for every `threads` value, and a run that *completes*
-/// under a cancel token is bit-identical to an uncancelled run.
-#[allow(clippy::too_many_arguments)]
-pub fn remedy_parallel(
-    graph: &CsrGraph,
-    state: &ForwardState,
-    params: &RwrParams,
-    walk_scale: f64,
-    seed: u64,
-    threads: usize,
     scores: &mut [f64],
     cancel: &Cancel,
 ) -> Result<u64, QueryError> {
@@ -173,8 +136,26 @@ pub fn remedy_parallel(
         }
         plan.push_node(v, walks, r / walks as f64, seed);
     }
-    run_plan(graph, params.alpha, &plan, threads, scores, cancel)?;
+    run_plan(graph, params.alpha, &plan, scores, cancel)?;
     Ok(plan.total_walks)
+}
+
+/// [`remedy_cancellable`] behind the former thread-budget signature, for
+/// callers built against it. Only `threads <= 1` is accepted.
+#[doc(hidden)]
+#[allow(clippy::too_many_arguments)]
+pub fn remedy_parallel(
+    graph: &CsrGraph,
+    state: &ForwardState,
+    params: &RwrParams,
+    walk_scale: f64,
+    seed: u64,
+    threads: usize,
+    scores: &mut [f64],
+    cancel: &Cancel,
+) -> Result<u64, QueryError> {
+    assert!(threads <= 1, "the remedy phase runs serially");
+    remedy_cancellable(graph, state, params, walk_scale, seed, scores, cancel)
 }
 
 #[cfg(test)]
@@ -213,20 +194,6 @@ mod tests {
     }
 
     #[test]
-    fn mc_parallel_is_bitwise_identical_to_serial() {
-        let g = gen::barabasi_albert(150, 3, 2);
-        let params = RwrParams::new(0.2, 0.5, 0.01, 0.01);
-        let serial = monte_carlo(&g, 0, &params, 42);
-        for threads in [2usize, 4, 8] {
-            let par = monte_carlo_parallel(&g, 0, &params, 42, threads, &Cancel::never()).unwrap();
-            assert_eq!(par.walks, serial.walks);
-            for (a, b) in serial.scores.iter().zip(par.scores.iter()) {
-                assert_eq!(a.to_bits(), b.to_bits(), "threads={threads}");
-            }
-        }
-    }
-
-    #[test]
     fn remedy_preserves_total_mass() {
         let g = gen::erdos_renyi(150, 900, 3);
         let params = RwrParams::for_graph(150);
@@ -238,34 +205,6 @@ mod tests {
         // Reserve + walk credits = reserve + residue = 1 exactly (each
         // remedy walk credits exactly r/walks and does so `walks` times).
         assert!((sum - 1.0).abs() < 1e-9, "sum {sum}");
-    }
-
-    #[test]
-    fn remedy_parallel_matches_serial_bitwise() {
-        let g = gen::erdos_renyi(150, 900, 3);
-        let params = RwrParams::for_graph(150);
-        let mut st = ForwardState::new(150);
-        crate::forward_push::forward_search(&g, 0, params.alpha, 1e-3, &mut st);
-        let mut serial = st.scores();
-        let walks_serial = remedy(&g, &st, &params, 1.0, 9, &mut serial);
-        for threads in [2usize, 4] {
-            let mut par = st.scores();
-            let walks_par = remedy_parallel(
-                &g,
-                &st,
-                &params,
-                1.0,
-                9,
-                threads,
-                &mut par,
-                &Cancel::never(),
-            )
-            .unwrap();
-            assert_eq!(walks_serial, walks_par);
-            for (a, b) in serial.iter().zip(par.iter()) {
-                assert_eq!(a.to_bits(), b.to_bits(), "threads={threads}");
-            }
-        }
     }
 
     #[test]
@@ -311,12 +250,13 @@ mod tests {
     }
 
     #[test]
-    fn cancelled_parallel_mc_reports_typed_error() {
+    fn cancelled_mc_reports_typed_error() {
         let g = gen::barabasi_albert(500, 4, 3);
         let params = RwrParams::new(0.2, 0.5, 1.0 / 500.0, 1.0 / 500.0);
+        let n_r = params.walk_coefficient().ceil() as u64;
         let token = Cancel::manual();
         token.cancel();
-        let err = monte_carlo_parallel(&g, 0, &params, 1, 4, &token).unwrap_err();
+        let err = monte_carlo_with_walks_guarded(&g, 0, params.alpha, n_r, 1, &token).unwrap_err();
         assert_eq!(err, QueryError::Cancelled);
     }
 }

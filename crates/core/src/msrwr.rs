@@ -91,11 +91,11 @@ pub fn msrwr_resacc_parallel(
     results
 }
 
-/// Derives the per-source RNG seed (a [`crate::par::splitmix64`] mix of the
+/// Derives the per-source RNG seed (a [`crate::walk_plan::splitmix64`] mix of the
 /// query seed and the source's position — the same mixer the chunked walk
 /// streams use).
 fn derive_seed(seed: u64, index: usize) -> u64 {
-    crate::par::splitmix64(seed ^ (index as u64).wrapping_mul(0x9e3779b97f4a7c15))
+    crate::walk_plan::splitmix64(seed ^ (index as u64).wrapping_mul(0x9e3779b97f4a7c15))
 }
 
 #[cfg(test)]

@@ -402,16 +402,11 @@ mod tests {
     /// Deterministic fuzz: arbitrary byte soup, truncations of valid
     /// frames, and single-bit flips must all come back as typed errors —
     /// never a panic, never an absurd allocation. Mirrors the JSON codec
-    /// fuzz test in the service crate; same hand-rolled splitmix so no
+    /// fuzz test in the service crate; uses the crate's splitmix64 so no
     /// dependencies are pulled in.
     #[test]
     fn decoder_fuzz_never_panics() {
-        fn mix(x: u64) -> u64 {
-            let mut z = x.wrapping_add(0x9e3779b97f4a7c15);
-            z = (z ^ (z >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94d049bb133111eb);
-            z ^ (z >> 31)
-        }
+        use crate::walk_plan::splitmix64 as mix;
         // Pure garbage of many lengths.
         let mut state = 0xDEADBEEFu64;
         for round in 0..400u64 {

@@ -23,7 +23,7 @@ pub use hhop::{h_hop_fwd, h_hop_fwd_cancellable, HhopOutcome, Scope};
 pub use omfwd::{omfwd, omfwd_cancellable};
 
 use crate::cancel::{Cancel, QueryError};
-use crate::monte_carlo::remedy_parallel;
+use crate::monte_carlo::remedy_cancellable;
 use crate::params::RwrParams;
 use crate::state::ForwardState;
 use resacc_graph::{CsrGraph, NodeId};
@@ -54,11 +54,6 @@ pub struct ResAccConfig {
     pub use_omfwd: bool,
     /// Scales the remedy walk count (`n_scale` in the paper's Appendix F).
     pub walk_scale: f64,
-    /// Worker threads for the remedy phase (`<= 1` = serial). Never affects
-    /// results: the chunked-stream RNG contract ([`crate::par`]) makes every
-    /// thread count bit-identical, so this is purely a latency knob — and is
-    /// deliberately excluded from any params/cache hash downstream.
-    pub threads: usize,
 }
 
 impl Default for ResAccConfig {
@@ -71,7 +66,6 @@ impl Default for ResAccConfig {
             use_subgraph: true,
             use_omfwd: true,
             walk_scale: 1.0,
-            threads: 1,
         }
     }
 }
@@ -94,13 +88,6 @@ impl ResAccConfig {
     pub fn with_r_max_f(mut self, r: f64) -> Self {
         assert!(r > 0.0);
         self.r_max_f = Some(r);
-        self
-    }
-
-    /// Returns a copy with a remedy-phase thread budget (`0` is treated as
-    /// `1`).
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = threads.max(1);
         self
     }
 
@@ -282,17 +269,15 @@ impl ResAcc {
         let residue_sum_final = state.residue_sum();
         let t_omfwd = t1.elapsed();
 
-        // Phase 3: remedy (Algorithm 2 lines 5–17), on `cfg.threads`
-        // workers — bit-identical for every thread count.
+        // Phase 3: remedy (Algorithm 2 lines 5–17).
         let t2 = Instant::now();
         let mut scores = state.scores();
-        let walks = remedy_parallel(
+        let walks = remedy_cancellable(
             graph,
             state,
             params,
             cfg.walk_scale,
             seed,
-            cfg.threads,
             &mut scores,
             cancel,
         )?;
@@ -424,21 +409,6 @@ mod tests {
         let a = default_query(&g, 5, 42);
         let b = default_query(&g, 5, 42);
         assert_eq!(a.scores, b.scores);
-    }
-
-    #[test]
-    fn thread_count_never_changes_results() {
-        let g = gen::barabasi_albert(300, 3, 6);
-        let params = RwrParams::for_graph(300);
-        let serial = ResAcc::new(ResAccConfig::default()).query(&g, 5, &params, 42);
-        for threads in [2usize, 4, 8] {
-            let cfg = ResAccConfig::default().with_threads(threads);
-            let par = ResAcc::new(cfg).query(&g, 5, &params, 42);
-            assert_eq!(par.walks, serial.walks, "threads={threads}");
-            for (a, b) in serial.scores.iter().zip(par.scores.iter()) {
-                assert_eq!(a.to_bits(), b.to_bits(), "threads={threads}");
-            }
-        }
     }
 
     #[test]

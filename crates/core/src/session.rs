@@ -35,7 +35,7 @@ use crate::state::ForwardState;
 use crate::topk::top_k;
 use parking_lot::{Mutex, RwLock};
 use resacc_graph::{CsrGraph, NodeId};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -52,10 +52,6 @@ pub struct RwrSession {
     engine: ResAcc,
     version: AtomicU64,
     pool: Mutex<Vec<ForwardState>>,
-    /// Default intra-query thread budget; adjustable at runtime
-    /// ([`RwrSession::set_threads`]) because thread count never affects
-    /// results (the chunked-stream RNG contract, see [`crate::par`]).
-    threads: AtomicUsize,
     /// When present, every mutation is WAL-appended (and fsync'd, per
     /// policy) *before* it is applied and the version bumps — see
     /// [`crate::durability`] for the exact ordering contract.
@@ -206,7 +202,6 @@ impl RwrSession {
             engine: ResAcc::new(config),
             version: AtomicU64::new(0),
             pool: Mutex::new(Vec::new()),
-            threads: AtomicUsize::new(config.threads.max(1)),
             durability: None,
             observer: None,
             deltas: Mutex::new(DeltaLog::new(dynamic::DEFAULT_DELTA_WINDOW)),
@@ -262,18 +257,6 @@ impl RwrSession {
     /// The durability store, when this session persists its mutations.
     pub fn durability(&self) -> Option<&Durability> {
         self.durability.as_ref()
-    }
-
-    /// The session's default intra-query thread budget.
-    pub fn threads(&self) -> usize {
-        self.threads.load(Ordering::Relaxed)
-    }
-
-    /// Sets the default intra-query thread budget (`0` is treated as `1`).
-    /// Safe at any time: thread count is purely a latency knob and can
-    /// never change what a query computes.
-    pub fn set_threads(&self, threads: usize) {
-        self.threads.store(threads.max(1), Ordering::Relaxed);
     }
 
     /// The current graph, behind a read guard.
@@ -483,34 +466,12 @@ impl RwrSession {
         seed: u64,
         cancel: &Cancel,
     ) -> Result<(ResAccResult, u64), QueryError> {
-        self.try_query_versioned_with_threads(source, seed, cancel, None)
-    }
-
-    /// [`RwrSession::try_query_versioned`] with a per-call thread budget:
-    /// `Some(n)` overrides the session default for this query only. The
-    /// budget can never change the result — it only changes how many cores
-    /// the remedy phase uses.
-    pub fn try_query_versioned_with_threads(
-        &self,
-        source: NodeId,
-        seed: u64,
-        cancel: &Cancel,
-        threads: Option<usize>,
-    ) -> Result<(ResAccResult, u64), QueryError> {
-        let threads = threads
-            .unwrap_or_else(|| self.threads.load(Ordering::Relaxed))
-            .max(1);
-        // ResAccConfig is Copy, so a per-call engine with the effective
-        // thread budget costs nothing.
-        let engine = ResAcc::new(ResAccConfig {
-            threads,
-            ..*self.engine.config()
-        });
         let state = self.state.read();
         let version = self.version.load(Ordering::Acquire);
         let mut ws = self.checkout(state.graph.num_nodes());
-        let result =
-            engine.query_guarded(&state.graph, source, &state.params, seed, &mut ws, cancel);
+        let result = self
+            .engine
+            .query_guarded(&state.graph, source, &state.params, seed, &mut ws, cancel);
         drop(state);
         if result.is_err() {
             // An aborted query leaves mid-phase residues behind; scrub them
@@ -972,29 +933,6 @@ mod tests {
     }
 
     #[test]
-    fn upgrade_is_bitwise_thread_independent() {
-        let mk = |threads: usize| {
-            RwrSession::with_config(
-                gen::barabasi_albert(200, 3, 5),
-                RwrParams::for_graph(200),
-                ResAccConfig::default().with_threads(threads),
-            )
-        };
-        let one = mk(1);
-        let four = mk(4);
-        let (a0, _) = one.try_query_versioned(3, 42, &Cancel::never()).unwrap();
-        let (b0, _) = four.try_query_versioned(3, 42, &Cancel::never()).unwrap();
-        one.insert_edges(&[(3, 150), (150, 7)]);
-        four.insert_edges(&[(3, 150), (150, 7)]);
-        let (ua, _) = one.try_upgrade_scores(&a0.scores, 0, 1e-5).unwrap();
-        let (ub, _) = four.try_upgrade_scores(&b0.scores, 0, 1e-5).unwrap();
-        assert_eq!(ua.err_bound.to_bits(), ub.err_bound.to_bits());
-        for (t, (x, y)) in ua.scores.iter().zip(&ub.scores).enumerate() {
-            assert_eq!(x.to_bits(), y.to_bits(), "scores[{t}] differ across threads");
-        }
-    }
-
-    #[test]
     fn concurrent_queries_match_sequential() {
         let session = Arc::new(RwrSession::new(gen::barabasi_albert(300, 4, 2)));
         let expected: Vec<Vec<f64>> =
@@ -1064,24 +1002,6 @@ mod tests {
         let (guarded, v2) = session.try_query_versioned(9, 42, &generous).unwrap();
         assert_eq!(plain.scores, guarded.scores);
         assert_eq!(v1, v2);
-    }
-
-    #[test]
-    fn thread_budget_is_a_pure_latency_knob() {
-        let session = RwrSession::new(gen::barabasi_albert(300, 3, 6));
-        assert_eq!(session.threads(), 1);
-        let base = session.query(3, 42).scores;
-        session.set_threads(4);
-        assert_eq!(session.threads(), 4);
-        let four = session.query(3, 42).scores;
-        assert_eq!(base, four, "session default threads leaked into results");
-        let (two, _) = session
-            .try_query_versioned_with_threads(3, 42, &Cancel::never(), Some(2))
-            .unwrap();
-        assert_eq!(base, two.scores, "per-call override leaked into results");
-        // 0 is clamped to 1.
-        session.set_threads(0);
-        assert_eq!(session.threads(), 1);
     }
 
     #[test]

@@ -58,10 +58,11 @@ pub use cache::{CompKey, ResultCache};
 pub use fault::FaultPlan;
 pub use metrics::{Metrics, MetricsSnapshot};
 pub use replication::ReplicationRole;
+pub use resacc::walk_plan::splitmix64;
 pub use router::{RouterConfig, RouterHandle, RouterMetrics};
 pub use scheduler::{
-    effective_seed, splitmix64, threads_per_query_budget, ErrorKind, QueryRequest, QueryResponse,
-    Scheduler, SchedulerConfig, ServiceError,
+    effective_seed, ErrorKind, QueryRequest, QueryResponse, Scheduler, SchedulerConfig,
+    ServiceError,
 };
 pub use server::{serve, serve_tenants, spawn, ServerConfig, ServerHandle};
 pub use tenants::{Tenant, TenantFactory, TenantSeed, Tenants};
@@ -71,12 +72,8 @@ use resacc::RwrParams;
 
 /// FNV-1a hash of every parameter the engine's output depends on. Part of
 /// the [`CompKey`]: two sessions configured differently can never share
-/// cache entries even if their graphs and seeds coincide.
-///
-/// `config.threads` is deliberately **excluded**: the chunked-stream RNG
-/// contract makes thread count output-invariant, so hashing it would split
-/// the cache (and defeat coalescing) between requests that are guaranteed
-/// to produce identical bytes.
+/// cache entries even if their graphs and seeds coincide. Every
+/// [`RwrParams`] and [`ResAccConfig`] field is hashed.
 pub fn params_hash(params: &RwrParams, config: &ResAccConfig) -> u64 {
     let mut h = 0xcbf29ce484222325u64;
     let mut eat = |v: u64| {
@@ -117,14 +114,5 @@ mod tests {
         let mut c3 = c;
         c3.use_omfwd = false;
         assert_ne!(base, params_hash(&p, &c3));
-    }
-
-    #[test]
-    fn params_hash_ignores_threads() {
-        // Thread count never affects results, so it must never split the
-        // cache: equal hashes for any thread budget.
-        let p = RwrParams::for_graph(1000);
-        let c = ResAccConfig::default();
-        assert_eq!(params_hash(&p, &c), params_hash(&p, &c.with_threads(8)));
     }
 }

@@ -20,7 +20,7 @@
 use crate::client::{connect, exchange_on, Conn};
 use crate::json::Json;
 use crate::metrics::Histogram;
-use crate::scheduler::splitmix64;
+use crate::splitmix64;
 use resacc::durability::DEFAULT_NAMESPACE;
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -50,9 +50,6 @@ pub struct LoadgenConfig {
     pub k: usize,
     /// `deadline_ms` sent with each query (0 = none).
     pub deadline_ms: u64,
-    /// `threads` hint sent with each query (0 = omit the field). A pure
-    /// latency knob: responses are byte-identical for any value.
-    pub threads: usize,
     /// Fraction of requests in [0, 1] issued as `insert_edges` mutations
     /// instead of queries, with seed-derived endpoints — a deterministic
     /// mutation stream for replication benchmarks and chaos runs. `0`
@@ -113,7 +110,6 @@ impl Default for LoadgenConfig {
             per_request_seeds: false,
             k: 10,
             deadline_ms: 0,
-            threads: 0,
             write_mix: 0.0,
             delete_mix: 0.0,
             chaos: false,
@@ -516,11 +512,6 @@ pub fn run(config: &LoadgenConfig) -> std::io::Result<LoadgenReport> {
                             } else {
                                 String::new()
                             };
-                            let threads = if config.threads > 0 {
-                                format!(",\"threads\":{}", config.threads)
-                            } else {
-                                String::new()
-                            };
                             // Read-your-writes through the router: a query
                             // after an acked write must observe it (on the
                             // tenant's own log).
@@ -530,7 +521,7 @@ pub fn run(config: &LoadgenConfig) -> std::io::Result<LoadgenReport> {
                                 String::new()
                             };
                             format!(
-                                "{{\"id\":{id},\"op\":\"query\"{ns_field},\"source\":{source},\"seed\":{seed},\"k\":{}{deadline}{threads}{minv}}}",
+                                "{{\"id\":{id},\"op\":\"query\"{ns_field},\"source\":{source},\"seed\":{seed},\"k\":{}{deadline}{minv}}}",
                                 config.k
                             )
                         };

@@ -1080,6 +1080,7 @@ fn route_promote(id: Option<u64>, shard: &Arc<Shard>, inner: &Inner) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::client::{self, Conn};
     use crate::server::{spawn as spawn_server, ServerConfig, ServerHandle};
     use resacc::replication::{
         attach_hub, ReplicaClient, ReplicationHub, ReplicationServer, ReplicationStats,
@@ -1088,13 +1089,13 @@ mod tests {
     use resacc_graph::gen;
     use std::io::{BufRead, BufReader};
 
-    fn roundtrip(stream: &mut TcpStream, line: &str) -> Json {
-        stream.write_all(line.as_bytes()).unwrap();
-        stream.write_all(b"\n").unwrap();
-        let mut reader = BufReader::new(stream.try_clone().unwrap());
-        let mut response = String::new();
-        reader.read_line(&mut response).unwrap();
-        Json::parse(response.trim()).expect("response is json")
+    fn connect(addr: SocketAddr) -> Conn {
+        client::connect(&addr.to_string(), None).unwrap()
+    }
+
+    fn roundtrip(conn: &mut Conn, line: &str) -> Json {
+        let response = client::exchange_on(conn, line, None).unwrap();
+        Json::parse(&response).expect("response is json")
     }
 
     fn graph() -> resacc_graph::CsrGraph {
@@ -1171,16 +1172,10 @@ mod tests {
             loop {
                 let mut all = true;
                 for r in &self.replicas {
-                    let mut s = TcpStream::connect(r.addr()).unwrap();
-                    let mut reader = BufReader::new(s.try_clone().unwrap());
-                    s.write_all(b"{\"op\":\"stats\"}\n").unwrap();
-                    let mut line = String::new();
-                    reader.read_line(&mut line).unwrap();
-                    let v = Json::parse(line.trim())
-                        .ok()
-                        .and_then(|j| {
-                            j.get("replication")?.get("applied_version")?.as_u64()
-                        })
+                    let stats = roundtrip(&mut connect(r.addr()), r#"{"op":"stats"}"#);
+                    let v = stats
+                        .get("replication")
+                        .and_then(|repl| repl.get("applied_version")?.as_u64())
                         .unwrap_or(0);
                     all &= v >= version;
                 }
@@ -1238,15 +1233,15 @@ mod tests {
             ShardSpec::parse(&format!("*={}", b.addr())).unwrap(),
         ];
         let router = spawn("127.0.0.1:0", cfg).unwrap();
-        let mut via = TcpStream::connect(router.addr()).unwrap();
+        let mut via = connect(router.addr());
 
         // Lifecycle ops shard-route by their namespace operand.
         let c0 = roundtrip(&mut via, r#"{"id":1,"op":"create_namespace","namespace":"t0"}"#);
         assert_eq!(c0.get("ok").unwrap().as_bool(), Some(true), "{}", c0.render());
         let c1 = roundtrip(&mut via, r#"{"id":2,"op":"create_namespace","namespace":"t1"}"#);
         assert_eq!(c1.get("ok").unwrap().as_bool(), Some(true), "{}", c1.render());
-        let mut direct_a = TcpStream::connect(a.addr()).unwrap();
-        let mut direct_b = TcpStream::connect(b.addr()).unwrap();
+        let mut direct_a = connect(a.addr());
+        let mut direct_b = connect(b.addr());
         let la = roundtrip(&mut direct_a, r#"{"id":3,"op":"list_namespaces"}"#);
         assert_eq!(
             la.get("namespaces").unwrap().render(),
@@ -1319,7 +1314,7 @@ mod tests {
         let mut cfg = RouterConfig::new(vec![]);
         cfg.shards = vec![ShardSpec::parse(&format!("t0={}", a.addr())).unwrap()];
         let router = spawn("127.0.0.1:0", cfg).unwrap();
-        let mut via = TcpStream::connect(router.addr()).unwrap();
+        let mut via = connect(router.addr());
         let r = roundtrip(
             &mut via,
             r#"{"id":1,"op":"query","namespace":"t9","source":0,"seed":1}"#,
@@ -1355,8 +1350,8 @@ mod tests {
         )
         .unwrap();
 
-        let mut direct = TcpStream::connect(backend.addr()).unwrap();
-        let mut via = TcpStream::connect(router.addr()).unwrap();
+        let mut direct = connect(backend.addr());
+        let mut via = connect(router.addr());
         let q = r#"{"id":1,"op":"query","source":0,"seed":42,"full":true}"#;
         let d = roundtrip(&mut direct, q);
         let r = roundtrip(&mut via, q);
@@ -1401,7 +1396,7 @@ mod tests {
         let mut cfg = RouterConfig::new(vec![backend.addr().to_string()]);
         cfg.max_conns = 1;
         let router = spawn("127.0.0.1:0", cfg).unwrap();
-        let mut keeper = TcpStream::connect(router.addr()).unwrap();
+        let mut keeper = connect(router.addr());
         // Make sure the first connection is registered before the second.
         let ok = roundtrip(&mut keeper, r#"{"op":"ping"}"#);
         assert_eq!(ok.get("ok").unwrap().as_bool(), Some(true));
@@ -1445,7 +1440,7 @@ mod tests {
         cfg.probe_interval_ms = 20;
         let router = spawn("127.0.0.1:0", cfg).unwrap();
 
-        let mut via = TcpStream::connect(router.addr()).unwrap();
+        let mut via = connect(router.addr());
         for i in 0..5 {
             let q = format!("{{\"id\":{i},\"op\":\"query\",\"source\":{i},\"seed\":1}}");
             let r = roundtrip(&mut via, &q);
@@ -1481,7 +1476,7 @@ mod tests {
         cfg.retry_budget = 2;
         cfg.park_ms = 300;
         let router = spawn("127.0.0.1:0", cfg).unwrap();
-        let mut via = TcpStream::connect(router.addr()).unwrap();
+        let mut via = connect(router.addr());
         // min_version far ahead of the world: the primary answers, the
         // router verifies version < min_version, retries, and reports a
         // typed terminal error instead of silently violating the bound.
@@ -1509,7 +1504,7 @@ mod tests {
         cfg.retry_budget = 8;
         cfg.park_ms = 20_000;
         let router = spawn("127.0.0.1:0", cfg).unwrap();
-        let mut via = TcpStream::connect(router.addr()).unwrap();
+        let mut via = connect(router.addr());
 
         // Semi-sync acked write: once acked, the replica has applied it.
         let m = roundtrip(&mut via, r#"{"id":1,"op":"insert_edges","edges":[[0,9],[9,0]]}"#);
@@ -1569,7 +1564,7 @@ mod tests {
         cfg.auto_failover = false;
         cfg.park_ms = 300;
         let router = spawn("127.0.0.1:0", cfg).unwrap();
-        let mut via = TcpStream::connect(router.addr()).unwrap();
+        let mut via = connect(router.addr());
         let r = roundtrip(&mut via, r#"{"id":1,"op":"query","source":0,"seed":5}"#);
         assert_eq!(r.get("ok").unwrap().as_bool(), Some(true), "{}", r.render());
         assert_eq!(r.get("stale").unwrap().as_bool(), Some(true));
@@ -1604,7 +1599,7 @@ mod tests {
         cfg.hedge_quantile = 0.2;
         cfg.hedge_min_ms = 5;
         let router = spawn("127.0.0.1:0", cfg).unwrap();
-        let mut via = TcpStream::connect(router.addr()).unwrap();
+        let mut via = connect(router.addr());
         for i in 0..60u32 {
             let q = format!(
                 "{{\"id\":{i},\"op\":\"query\",\"source\":{},\"seed\":{i}}}",
@@ -1697,7 +1692,7 @@ mod tests {
         // Without the sticky degrade this would be the per-write stall.
         cfg.park_ms = 20_000;
         let router = spawn("127.0.0.1:0", cfg).unwrap();
-        let mut via = TcpStream::connect(router.addr()).unwrap();
+        let mut via = connect(router.addr());
 
         // Healthy semi-sync: the ack implies the replica applied it.
         let m = roundtrip(&mut via, r#"{"id":1,"op":"insert_edges","edges":[[0,7]]}"#);

@@ -66,6 +66,7 @@ use crate::params_hash;
 use crossbeam::channel::{self, Receiver, Sender};
 use parking_lot::Mutex;
 use resacc::durability::{DurabilityError, MutationOp};
+use resacc::walk_plan::splitmix64;
 use resacc::{Cancel, QueryError, RwrSession};
 use resacc_graph::NodeId;
 use std::collections::HashMap;
@@ -85,12 +86,6 @@ pub struct QueryRequest {
     pub seed: Option<u64>,
     /// Absolute deadline; `None` falls back to the scheduler's default.
     pub deadline: Option<Instant>,
-    /// Intra-query thread hint; `None` uses the scheduler's configured
-    /// `threads_per_query`. Capped by the machine budget, and **never** part
-    /// of the [`CompKey`]: thread count cannot change a result (the
-    /// chunked-stream RNG contract), so requests that differ only in
-    /// `threads` still coalesce and share cache entries soundly.
-    pub threads: Option<usize>,
 }
 
 /// A completed query.
@@ -272,10 +267,6 @@ pub struct SchedulerConfig {
     pub default_deadline: Option<Duration>,
     /// Backoff hint attached to shed responses.
     pub retry_after_ms: u64,
-    /// Intra-query threads per engine run (`<= 1` = serial remedy phase).
-    /// Capped by [`threads_per_query_budget`] so `workers` concurrent
-    /// queries cannot oversubscribe the machine; never affects results.
-    pub threads_per_query: usize,
     /// Fault-injection plan (tests / load generation only).
     pub faults: FaultPlan,
     /// Per-entry error budget for dynamic cache upgrades: on a miss whose
@@ -300,7 +291,6 @@ impl Default for SchedulerConfig {
             queue_cap: 4096,
             default_deadline: None,
             retry_after_ms: 50,
-            threads_per_query: 1,
             faults: FaultPlan::default(),
             dynamic_eps: 0.0,
             dynamic_delta: 1e-4,
@@ -313,18 +303,6 @@ impl Default for SchedulerConfig {
 struct DynamicPolicy {
     eps: f64,
     delta: f64,
-}
-
-/// How many intra-query threads each of `workers` concurrently-running
-/// queries may use on a `cores`-core machine without oversubscribing it:
-/// `max(1, cores / workers)`. Queries parallelize *across* workers first
-/// (that is what the worker pool is for); intra-query threads only soak up
-/// cores the pool cannot reach. Exceeding the budget is never unsafe —
-/// results are thread-count-invariant — it just thrashes the scheduler, so
-/// the cap is applied both to the configured default and to per-request
-/// hints.
-pub fn threads_per_query_budget(workers: usize, cores: usize) -> usize {
-    (cores.max(1) / workers.max(1)).max(1)
 }
 
 /// Where a finished request's outcome goes. Synchronous callers
@@ -373,9 +351,6 @@ struct Job {
     key: CompKey,
     /// Cancellation token honouring the leader's deadline.
     cancel: Cancel,
-    /// Intra-query thread budget (leader's hint, already capped); `None`
-    /// uses the session default.
-    threads: Option<usize>,
     /// Artificial latency from the fault plan (leader-keyed).
     delay: Option<Duration>,
     /// Inject a panic instead of computing (leader-keyed).
@@ -463,14 +438,6 @@ impl Scheduler {
         let inflight: Arc<InflightMap> = Arc::new(Mutex::new(HashMap::new()));
         let hash = params_hash(&session.params(), &session.config());
 
-        // Per-query thread budget: the configured default (capped by the
-        // machine budget) becomes the session default; per-request hints are
-        // capped by the machine budget at dispatch. Setting the session
-        // default is safe at any time — thread count never affects results.
-        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-        let budget = threads_per_query_budget(config.workers.max(1), cores);
-        session.set_threads(config.threads_per_query.max(1).min(budget));
-
         let mut threads = Vec::new();
         {
             let cache = cache.clone();
@@ -489,7 +456,7 @@ impl Scheduler {
                     .spawn(move || {
                         dispatch_loop(
                             submit_rx, job_tx, inflight, cache, ctx, session, hash, batch_max,
-                            faults, budget, retired,
+                            faults, retired,
                         )
                     })
                     .expect("spawn dispatcher"),
@@ -700,14 +667,6 @@ pub fn effective_seed(request: &QueryRequest) -> u64 {
     }
 }
 
-/// One splitmix64 step — the standard 64-bit bit-mixer.
-pub fn splitmix64(x: u64) -> u64 {
-    let mut z = x.wrapping_add(0x9e3779b97f4a7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d049bb133111eb);
-    z ^ (z >> 31)
-}
-
 #[allow(clippy::too_many_arguments)]
 fn dispatch_loop(
     submit_rx: Receiver<Pending>,
@@ -719,7 +678,6 @@ fn dispatch_loop(
     hash: u64,
     batch_max: usize,
     faults: FaultPlan,
-    thread_budget: usize,
     retired: Arc<std::sync::atomic::AtomicBool>,
 ) {
     loop {
@@ -770,15 +728,6 @@ fn dispatch_loop(
                 Some(d) => Cancel::at(d),
                 None => Cancel::never(),
             };
-            // Per-request thread hints are capped by the machine budget.
-            // Deliberately NOT part of the CompKey: thread count never
-            // changes a result, so coalescing and caching across differing
-            // hints stay sound (the leader's hint decides core usage).
-            let job_threads = pending
-                .request
-                .threads
-                .map(|t| t.clamp(1, thread_budget));
-
             if faults.should_panic(id) {
                 // Sabotaged requests get a private job: they must not serve
                 // from cache (the panic has to happen) and must not drag
@@ -786,7 +735,6 @@ fn dispatch_loop(
                 let _ = job_tx.send(Job {
                     key,
                     cancel,
-                    threads: job_threads,
                     delay: faults.delay_for(id),
                     fault_panic: true,
                     direct: Some(Waiter {
@@ -843,8 +791,7 @@ fn dispatch_loop(
                     let _ = job_tx.send(Job {
                         key,
                         cancel,
-                        threads: job_threads,
-                        delay: faults.delay_for(id),
+                            delay: faults.delay_for(id),
                         fault_panic: false,
                         direct: None,
                     });
@@ -966,12 +913,7 @@ fn worker_loop(
             if job.fault_panic {
                 panic!("injected panic");
             }
-            session.try_query_versioned_with_threads(
-                job.key.source,
-                job.key.seed,
-                &job.cancel,
-                job.threads,
-            )
+            session.try_query_versioned(job.key.source, job.key.seed, &job.cancel)
         }));
 
         let waiters = match job.direct {
@@ -1077,52 +1019,7 @@ mod tests {
             source,
             seed,
             deadline: None,
-            threads: None,
         }
-    }
-
-    #[test]
-    fn thread_budget_divides_cores_among_workers() {
-        assert_eq!(threads_per_query_budget(4, 16), 4);
-        assert_eq!(threads_per_query_budget(4, 4), 1);
-        assert_eq!(threads_per_query_budget(1, 8), 8);
-        assert_eq!(threads_per_query_budget(8, 4), 1, "never below 1");
-        assert_eq!(threads_per_query_budget(0, 0), 1, "degenerate inputs");
-        assert_eq!(threads_per_query_budget(3, 8), 2, "floor division");
-    }
-
-    #[test]
-    fn thread_hints_do_not_change_results_or_split_the_cache() {
-        let session = Arc::new(RwrSession::new(gen::barabasi_albert(400, 4, 77)));
-        let s = Scheduler::new(
-            session,
-            SchedulerConfig {
-                workers: 2,
-                cache_capacity: 64,
-                threads_per_query: 4,
-                ..Default::default()
-            },
-        );
-        let base = s.query(req(1, 5, Some(9))).unwrap();
-        // Same (source, seed) with a different per-request hint: must be a
-        // cache hit (threads is not in the CompKey) with identical bytes.
-        let hinted = s
-            .query(QueryRequest {
-                threads: Some(8),
-                ..req(2, 5, Some(9))
-            })
-            .unwrap();
-        assert!(hinted.cached, "thread hint must not split the cache");
-        assert_eq!(base.scores, hinted.scores);
-        // And a fresh computation under a hint matches a direct 1-thread run.
-        let fresh = s
-            .query(QueryRequest {
-                threads: Some(2),
-                ..req(3, 7, Some(11))
-            })
-            .unwrap();
-        let direct = s.session().query(7, 11).scores;
-        assert_eq!(fresh.scores.as_ref(), &direct);
     }
 
     #[test]

@@ -101,9 +101,6 @@ pub struct ServerConfig {
     pub max_line_bytes: usize,
     /// Close a connection after this long without a byte (0 = never).
     pub idle_timeout_ms: u64,
-    /// Intra-query threads per engine run (`<= 1` = serial remedy); capped
-    /// by the machine budget in the scheduler. Never affects results.
-    pub threads_per_query: usize,
     /// Fault-injection plan (tests / load generation only).
     pub faults: FaultPlan,
     /// What startup recovery observed (zeroes when the session is not
@@ -133,7 +130,6 @@ impl ServerConfig {
             batch_max: self.batch_max,
             queue_cap: self.queue_cap,
             default_deadline: None, // applied per request from deadline_ms
-            threads_per_query: self.threads_per_query,
             faults: self.faults,
             dynamic_eps: self.dynamic_eps,
             dynamic_delta: self.dynamic_delta,
@@ -154,7 +150,6 @@ impl Default for ServerConfig {
             max_conns: 256,
             max_line_bytes: 1 << 20,
             idle_timeout_ms: 30_000,
-            threads_per_query: 1,
             faults: FaultPlan::default(),
             recovery: RecoveryStats::default(),
             replication: None,
@@ -892,12 +887,6 @@ fn parse_query(
         .and_then(Json::as_u64)
         .or((limits.default_deadline_ms > 0).then_some(limits.default_deadline_ms));
     let deadline = deadline_ms.map(|ms| Instant::now() + Duration::from_millis(ms));
-    // Optional per-request thread hint; capped by the scheduler, and by
-    // contract unable to change the result — only how fast it arrives.
-    let threads = request
-        .get("threads")
-        .and_then(Json::as_u64)
-        .map(|t| t as usize);
 
     // Source-range validation happens inside the scheduler, under the same
     // session lock the query runs under — a wire-level pre-check here would
@@ -908,7 +897,6 @@ fn parse_query(
             source,
             seed,
             deadline,
-            threads,
         },
         k,
         full,
@@ -967,6 +955,7 @@ fn parse_edges(request: &Json) -> Result<Vec<(u32, u32)>, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::client::{self, Conn};
     use resacc_graph::gen;
     use std::io::{BufRead, BufReader, Read, Write};
     use std::net::TcpStream;
@@ -984,13 +973,13 @@ mod tests {
         .expect("bind")
     }
 
-    fn roundtrip(stream: &mut TcpStream, line: &str) -> Json {
-        stream.write_all(line.as_bytes()).unwrap();
-        stream.write_all(b"\n").unwrap();
-        let mut reader = BufReader::new(stream.try_clone().unwrap());
-        let mut response = String::new();
-        reader.read_line(&mut response).unwrap();
-        Json::parse(response.trim()).expect("response is json")
+    fn connect(addr: SocketAddr) -> Conn {
+        client::connect(&addr.to_string(), None).unwrap()
+    }
+
+    fn roundtrip(conn: &mut Conn, line: &str) -> Json {
+        let response = client::exchange_on(conn, line, None).unwrap();
+        Json::parse(&response).expect("response is json")
     }
 
     #[test]
@@ -998,7 +987,7 @@ mod tests {
         let session = Arc::new(RwrSession::new(gen::barabasi_albert(300, 4, 3)));
         let direct = session.query(7, 12345).scores;
         let handle = spawn("127.0.0.1:0", session, ServerConfig::default()).unwrap();
-        let mut stream = TcpStream::connect(handle.addr()).unwrap();
+        let mut stream = connect(handle.addr());
         let r = roundtrip(
             &mut stream,
             r#"{"id":1,"op":"query","source":7,"seed":12345,"full":true,"k":3}"#,
@@ -1035,7 +1024,7 @@ mod tests {
             },
         )
         .unwrap();
-        let mut stream = TcpStream::connect(handle.addr()).unwrap();
+        let mut stream = connect(handle.addr());
         let cold = roundtrip(
             &mut stream,
             r#"{"id":1,"op":"query","source":7,"seed":12345}"#,
@@ -1071,7 +1060,7 @@ mod tests {
     #[test]
     fn mutations_and_stats_over_tcp() {
         let handle = start();
-        let mut stream = TcpStream::connect(handle.addr()).unwrap();
+        let mut stream = connect(handle.addr());
         let q = r#"{"id":1,"op":"query","source":0,"seed":9}"#;
         let a = roundtrip(&mut stream, q);
         assert_eq!(a.get("cached").unwrap().as_bool(), Some(false));
@@ -1100,7 +1089,7 @@ mod tests {
     #[test]
     fn bad_requests_keep_the_connection_alive() {
         let handle = start();
-        let mut stream = TcpStream::connect(handle.addr()).unwrap();
+        let mut stream = connect(handle.addr());
         let e1 = roundtrip(&mut stream, "not json at all");
         assert_eq!(e1.get("ok").unwrap().as_bool(), Some(false));
         let e2 = roundtrip(&mut stream, r#"{"id":5,"op":"query"}"#);
@@ -1141,7 +1130,7 @@ mod tests {
             },
         )
         .unwrap();
-        let mut stream = TcpStream::connect(handle.addr()).unwrap();
+        let mut stream = connect(handle.addr());
         let started = Instant::now();
         let r = roundtrip(
             &mut stream,
@@ -1200,7 +1189,7 @@ mod tests {
         let mut rest = String::new();
         assert_eq!(reader.read_line(&mut rest).unwrap(), 0);
         // Server still accepts fresh connections.
-        let mut stream2 = TcpStream::connect(handle.addr()).unwrap();
+        let mut stream2 = connect(handle.addr());
         let ok = roundtrip(&mut stream2, r#"{"op":"ping"}"#);
         assert_eq!(ok.get("ok").unwrap().as_bool(), Some(true));
         drop(stream2);
@@ -1266,7 +1255,7 @@ mod tests {
         let params = resacc::RwrParams::for_graph(rec.graph.num_nodes());
         let session = Arc::new(RwrSession::from_recovered(rec, params, ResAccConfig::default()));
         let handle = spawn("127.0.0.1:0", session, ServerConfig::default()).unwrap();
-        let mut stream = TcpStream::connect(handle.addr()).unwrap();
+        let mut stream = connect(handle.addr());
         let m = roundtrip(&mut stream, r#"{"id":1,"op":"insert_edges","edges":[[0,199],[5,6]]}"#);
         assert_eq!(m.get("version").unwrap().as_u64(), Some(1));
         let m = roundtrip(&mut stream, r#"{"id":2,"op":"delete_node","node":7}"#);
@@ -1296,7 +1285,7 @@ mod tests {
             },
         )
         .unwrap();
-        let mut stream = TcpStream::connect(handle.addr()).unwrap();
+        let mut stream = connect(handle.addr());
         let s = roundtrip(&mut stream, r#"{"op":"stats"}"#);
         let stats = s.get("stats").unwrap();
         assert_eq!(
@@ -1360,7 +1349,7 @@ mod tests {
             std::thread::sleep(Duration::from_millis(10));
         }
 
-        let mut stream = TcpStream::connect(handle.addr()).unwrap();
+        let mut stream = connect(handle.addr());
         // Mutations bounce with a typed error naming the primary.
         let r = roundtrip(&mut stream, r#"{"id":1,"op":"insert_edges","edges":[[1,2]]}"#);
         assert_eq!(r.get("error").unwrap().as_str(), Some("read_only"));
@@ -1407,7 +1396,7 @@ mod tests {
             },
         )
         .unwrap();
-        let mut stream = TcpStream::connect(handle.addr()).unwrap();
+        let mut stream = connect(handle.addr());
         // Writable at first.
         let m = roundtrip(&mut stream, r#"{"id":1,"op":"insert_edges","edges":[[1,2]]}"#);
         assert_eq!(m.get("ok").unwrap().as_bool(), Some(true));
@@ -1490,9 +1479,9 @@ mod tests {
         lines
     }
 
-    /// Replays [`equivalence_workload`] against a fresh server; returns the
-    /// normalized response lines.
-    fn run_workload(faults: crate::FaultPlan, dynamic_eps: f64) -> Vec<String> {
+    /// Replays `lines` against a fresh server; returns the normalized
+    /// response lines.
+    fn run_workload(lines: &[String], faults: crate::FaultPlan, dynamic_eps: f64) -> Vec<String> {
         let session = Arc::new(RwrSession::new(gen::barabasi_albert(300, 4, 3)));
         let handle = spawn(
             "127.0.0.1:0",
@@ -1505,10 +1494,10 @@ mod tests {
             },
         )
         .unwrap();
-        let mut conn = crate::client::connect(&handle.addr().to_string(), None).unwrap();
-        let out = equivalence_workload()
+        let mut conn = connect(handle.addr());
+        let out = lines
             .iter()
-            .map(|line| strip_volatile(&crate::client::exchange_on(&mut conn, line, None).unwrap(), false))
+            .map(|line| strip_volatile(&client::exchange_on(&mut conn, line, None).unwrap(), false))
             .collect();
         drop(conn);
         handle.shutdown().unwrap();
@@ -1553,7 +1542,27 @@ mod tests {
     /// seeds, same ids — queries, mutations, protocol errors, everything.
     #[test]
     fn workload_reproduces_golden_transcript() {
-        let lines = run_workload(crate::FaultPlan::default(), 0.0);
+        let lines = run_workload(&equivalence_workload(), crate::FaultPlan::default(), 0.0);
+        assert_matches_golden("golden_plain", &lines);
+    }
+
+    /// Wire compatibility: the retired per-request `"threads"` hint is
+    /// ignored like any other unknown key, so clients that still send it
+    /// get exactly the golden bytes.
+    #[test]
+    fn threads_field_is_ignored_on_the_wire() {
+        let hinted: Vec<String> = equivalence_workload()
+            .into_iter()
+            .map(|line| {
+                if line.contains(r#""op":"query""#) {
+                    format!("{},\"threads\":4}}", line.strip_suffix('}').unwrap())
+                } else {
+                    line
+                }
+            })
+            .collect();
+        assert!(hinted.iter().any(|l| l.contains(r#""threads":4"#)));
+        let lines = run_workload(&hinted, crate::FaultPlan::default(), 0.0);
         assert_matches_golden("golden_plain", &lines);
     }
 
@@ -1568,7 +1577,7 @@ mod tests {
             delay_ms: 1,
             ..Default::default()
         };
-        let lines = run_workload(faults, 0.05);
+        let lines = run_workload(&equivalence_workload(), faults, 0.05);
         assert_matches_golden("golden_chaos", &lines);
         // Sanity: the fault plan actually fired somewhere in there.
         assert!(
@@ -1596,9 +1605,9 @@ mod tests {
             },
         )
         .unwrap();
-        let mut conn = crate::client::connect(&handle.addr().to_string(), None).unwrap();
+        let mut conn = connect(handle.addr());
         let mut exchange = |line: &str| -> String {
-            strip_volatile(&crate::client::exchange_on(&mut conn, line, None).unwrap(), false)
+            strip_volatile(&client::exchange_on(&mut conn, line, None).unwrap(), false)
         };
         exchange(r#"{"id":900,"op":"create_namespace","namespace":"t9"}"#);
         let mut mixed = Vec::new();
@@ -1651,15 +1660,8 @@ mod tests {
         )
         .unwrap();
         let addr = handle.addr();
-        let mut admin = TcpStream::connect(addr).unwrap();
-        let mut admin_reader = BufReader::new(admin.try_clone().unwrap());
-        let mut admin_exchange = |line: &str| -> Json {
-            admin.write_all(line.as_bytes()).unwrap();
-            admin.write_all(b"\n").unwrap();
-            let mut response = String::new();
-            admin_reader.read_line(&mut response).unwrap();
-            Json::parse(response.trim()).unwrap()
-        };
+        let mut admin = connect(addr);
+        let mut admin_exchange = |line: &str| roundtrip(&mut admin, line);
         admin_exchange(r#"{"id":1,"op":"create_namespace","namespace":"t0"}"#);
         admin_exchange(r#"{"id":2,"op":"insert_edges","namespace":"t0","edges":[[0,1],[1,2],[2,0]]}"#);
 
@@ -1835,7 +1837,7 @@ mod tests {
             loris.push(s);
         }
         // A real client gets served promptly in the meantime.
-        let mut stream = TcpStream::connect(handle.addr()).unwrap();
+        let mut stream = connect(handle.addr());
         let started = Instant::now();
         let ok = roundtrip(&mut stream, r#"{"id":1,"op":"query","source":0,"seed":4}"#);
         assert_eq!(ok.get("ok").unwrap().as_bool(), Some(true));
@@ -1881,7 +1883,7 @@ mod tests {
             },
         )
         .unwrap();
-        let mut keeper = TcpStream::connect(handle.addr()).unwrap();
+        let mut keeper = connect(handle.addr());
         let ok = roundtrip(&mut keeper, r#"{"op":"ping"}"#);
         assert_eq!(ok.get("ok").unwrap().as_bool(), Some(true));
         let over = TcpStream::connect(handle.addr()).unwrap();
@@ -1970,7 +1972,7 @@ mod tests {
             let workers: Vec<_> = (0..CONNS)
                 .map(|t| {
                     scope.spawn(move || {
-                        let mut stream = TcpStream::connect(addr).unwrap();
+                        let mut stream = connect(addr);
                         let mut last_version = 0u64;
                         let mut my_panic_queries = 0u64;
                         for i in 0..PER {
@@ -2030,7 +2032,7 @@ mod tests {
 
         // The panics metric matches the injected count exactly, and the
         // server is still fully functional after all of it.
-        let mut stream = TcpStream::connect(addr).unwrap();
+        let mut stream = connect(addr);
         let s = roundtrip(&mut stream, r#"{"id":1,"op":"stats"}"#);
         assert_eq!(
             s.get("stats").unwrap().get("panics").unwrap().as_u64(),

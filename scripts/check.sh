@@ -5,43 +5,40 @@
 #   3. clippy with warnings promoted to errors
 #   4. chaos smoke: a seeded fault-injection run against a real server must
 #      sustain the load, contain every injected panic, and drain cleanly
-#   5. parallel determinism: `rwr query` at 1 and 4 threads must print
-#      byte-identical results, and a bench_parallel smoke run must pass its
-#      bitwise 1-vs-N gate (the ≥2× speedup gate self-disables on <4 cores)
-#   6. recovery smoke: mutate a durable server, SIGKILL it, restart on the
+#   5. recovery smoke: mutate a durable server, SIGKILL it, restart on the
 #      same --data-dir, and require the WAL replay banner plus a byte-
 #      identical full-scores query; then a bench_recovery smoke run must
 #      pass its zero-loss and torn-tail gates plus the group-commit gate
 #      (batched fsync must multiply WAL-commit-path write throughput ≥3×
 #      over per-mutation fsync with zero acknowledged loss)
-#   7. replication smoke: primary + read replica over WAL shipping; the
+#   6. replication smoke: primary + read replica over WAL shipping; the
 #      replica must answer bit-identically at the same version and reject
 #      writes; SIGKILL the primary, promote the replica, and require no
 #      acknowledged mutation lost and a monotonic version; then a
 #      bench_replication smoke run must pass its bit-identity gate
-#   8. dynamic smoke: a bench_dynamic run must pass its hit-rate gate
+#   7. dynamic smoke: a bench_dynamic run must pass its hit-rate gate
 #      (upgrade path strictly beats the invalidate-everything baseline)
 #      and its error gate (every upgraded vector within its accumulated
 #      claim of a fresh recompute); the chaos smoke in step 4 runs with
 #      the upgrade path enabled so fault containment covers it too
-#   9. failover smoke: replica shipping through an `rwr netfault` proxy;
+#   8. failover smoke: replica shipping through an `rwr netfault` proxy;
 #      partition the link, promote the replica with a direct fence probe
 #      at the old primary, require the old primary to bounce writes with
 #      the typed `fenced` error, heal, and require bitwise convergence
 #      with the old primary rejoined as a replica; then a bench_failover
 #      smoke run must pass its zero-fenced-writes / zero-loss /
 #      bit-identity gates
-#  10. c10k smoke: a bench_c10k run must hold a ladder of idle
-#      connections on the event-loop backend with O(workers) process
+#   9. c10k smoke: a bench_c10k run must hold a ladder of idle
+#      connections on the server's event loop with O(workers) process
 #      threads and a non-degraded active-stream p99 at the top rung
-#  11. router smoke: a bench_router run spawns a real replicated cluster
+#  10. router smoke: a bench_router run spawns a real replicated cluster
 #      (rwr serve children) behind the version-aware router and must pass
 #      its hard gates — zero client-visible read errors while a replica
 #      is SIGKILLed, zero read-your-writes violations and zero
 #      acked-write loss across a NetFault partition plus automated
 #      primary failover, and hedged p99 strictly below unhedged p99
 #      against a chaos-delayed replica
-#  12. sharding smoke: two primaries behind an `rwr router --shard` front
+#  11. sharding smoke: two primaries behind an `rwr router --shard` front
 #      (shard 1 replicated, shard 2 the catch-all); namespaces must land
 #      on their mapped shard, a write to one tenant must not move another
 #      tenant's applied version, and SIGKILLing shard 1's primary must
@@ -123,24 +120,6 @@ if grep -q "panicked at" "$SMOKE_DIR/serve.err"; then
   cat "$SMOKE_DIR/serve.err"
   exit 1
 fi
-
-echo "==> parallel determinism: query --threads 1 vs --threads 4 bitwise replay"
-# Strip the timing header line (wall clock varies); every other byte must
-# match — the chunked-stream RNG contract (DESIGN.md §10) makes thread
-# count a pure latency knob.
-target/release/rwr query --graph "$SMOKE_DIR/graph.txt" --source 3 --seed 7 \
-  --threads 1 | tail -n +2 > "$SMOKE_DIR/q1.out"
-target/release/rwr query --graph "$SMOKE_DIR/graph.txt" --source 3 --seed 7 \
-  --threads 4 | tail -n +2 > "$SMOKE_DIR/q4.out"
-if ! cmp -s "$SMOKE_DIR/q1.out" "$SMOKE_DIR/q4.out"; then
-  echo "parallel determinism: 1-thread and 4-thread query output diverged:"
-  diff "$SMOKE_DIR/q1.out" "$SMOKE_DIR/q4.out" || true
-  exit 1
-fi
-
-echo "==> bench_parallel smoke (bitwise 1-vs-N gate)"
-RESACC_BENCH_PARALLEL_QUERIES=2 RESACC_BENCH_PARALLEL_WALK_SCALE=2 \
-  target/release/bench_parallel "$SMOKE_DIR/BENCH_parallel.json" > /dev/null
 
 echo "==> recovery smoke (mutate, SIGKILL, restart, bitwise query replay)"
 DATA_DIR="$SMOKE_DIR/data"
@@ -461,7 +440,7 @@ RESACC_BENCH_DYNAMIC_ROUNDS=8 \
   target/release/bench_dynamic "$SMOKE_DIR/BENCH_dynamic.json" > /dev/null
 
 echo "==> bench_c10k smoke (thread-ceiling + idle-load p99 gates)"
-# Shrunk ladder of parked connections against the event-loop backend;
+# Shrunk ladder of parked connections against the server's event loop;
 # the hard gates — process threads stay O(workers) from bottom to top
 # rung, active-stream p99 does not degrade under idle load — are the
 # same ones the full 5 000-connection run enforces.
